@@ -131,8 +131,11 @@ class DragMassAssembler:
 
     Matches ``assemble_mass(space, weight=FieldCoefficients(space,
     coeffs))``, but the quadrature tables, per-triangle expansion blocks
-    and scatter pattern are precomputed once. That matters inside the
+    and the CSR pattern are precomputed once. That matters inside the
     frozen-drag iteration, where a fresh matrix is needed every sweep.
+    Every call returns a canonical CSR matrix on the same ``indptr`` and
+    ``indices``, so callers may scatter its ``data`` into a larger
+    pattern through a fixed index map.
     """
 
     def __init__(self, space: DofSpace):
@@ -141,23 +144,37 @@ class DragMassAssembler:
         self.space = space
         ttab = tri_tables(space.mesh, space.k, enhanced_degree(space.k))
         self._val = ttab.val
+        self._valT = np.ascontiguousarray(ttab.val.swapaxes(1, 2))
         self._w = ttab.w
         nt = space.mesh.n_triangles
         n_loc = space.dof_map.shape[1]
         self._Z = space.local_E.reshape(nt, space.ncomp, space.nk, n_loc)
-        self._rows = np.repeat(space.dof_map, n_loc, axis=1).ravel()
-        self._cols = np.tile(space.dof_map, (1, n_loc)).ravel()
+        self._ZT = np.ascontiguousarray(self._Z.swapaxes(2, 3))
+        # Each local entry (t, l, j) lands in the slot of (dof_map[t, l],
+        # dof_map[t, j]) of the canonical pattern; bincount sums repeats.
+        n = space.global_dim
+        rows = np.repeat(space.dof_map, n_loc, axis=1).ravel()
+        cols = np.tile(space.dof_map, (1, n_loc)).ravel()
+        keys, self._slot = np.unique(rows * n + cols, return_inverse=True)
+        self._indices = (keys % n).astype(np.int32)
+        self._indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=self._indptr[1:])
+        # Every returned matrix shares these; in-place edits must fail.
+        self._indices.flags.writeable = False
+        self._indptr.flags.writeable = False
 
     def __call__(self, coeffs: np.ndarray) -> sp.csr_matrix:
         space = self.space
         coeffs = np.asarray(coeffs, dtype=float)
-        broken = np.einsum("tcnl,tl->tcn", self._Z, coeffs[space.dof_map])
-        vals = np.einsum("tcn,tnq->tcq", broken, self._val)
+        local_coeffs = coeffs[space.dof_map][:, None, :, None]
+        broken = np.matmul(self._Z, local_coeffs)[..., 0]
+        vals = np.matmul(broken, self._val)
         w = self._w * np.hypot(vals[:, 0], vals[:, 1])
-        blocks = np.einsum("tmq,tq,tnq->tmn", self._val, w, self._val)
-        local = np.einsum("tcml,tmn,tcnj->tlj", self._Z, blocks, self._Z)
+        blocks = np.matmul(self._val * w[:, None, :], self._valT)
+        local = np.matmul(np.matmul(self._ZT, blocks[:, None]), self._Z).sum(axis=1)
+        data = np.bincount(self._slot, weights=local.ravel(), minlength=len(self._indices))
         n = space.global_dim
-        return sp.csr_matrix((local.ravel(), (self._rows, self._cols)), shape=(n, n))
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
 
 
 def assemble_velocity_gradient(u_space: DofSpace, w_space: DofSpace) -> sp.csr_matrix:

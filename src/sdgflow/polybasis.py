@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -43,10 +44,17 @@ def monomial_exponents(k: int) -> np.ndarray:
     return np.array(exps, dtype=int)
 
 
+@lru_cache(maxsize=None)
 def _gauss01(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
+    """Gauss-Legendre nodes and weights on [0, 1], cached per order.
+
+    The arrays are shared between callers and therefore read-only.
+    """
     x, w = legendre.leggauss(m)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def triangle_quadrature(exactness_degree: int, triangle: np.ndarray) -> QuadRule:

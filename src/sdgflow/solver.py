@@ -9,6 +9,13 @@ solve. A vanishing diffusion coefficient removes the gradient and trace
 variables from the system entirely, which keeps the matrix nonsingular
 in the Darcy limit.
 
+A drag sweep changes only the velocity-mass block of the step matrix, so
+the matrix lives on one sparsity pattern for the whole run (see
+_StepMatrix): the fixed blocks are assembled once, the mass part of the
+velocity block is rewritten only when the time-derivative weight
+changes, and each sweep writes the drag values into the pattern in place
+through a fixed index map.
+
 The bordered multiplier system is never factored directly: its dense
 coupling row defeats the fill-reducing ordering and triples the factor
 size. Instead one pressure coefficient is pinned, which makes the core
@@ -17,6 +24,8 @@ recovered exactly from the one-dimensional consistency and constraint
 relations; see _BorderedSolver. Factorizations are reused across drag
 sweeps and steps through iterative refinement, since the frozen weight
 drifts slowly, and are rebuilt only when refinement stops contracting.
+Refinement starts from the previous solution, so a sweep whose answer
+barely moved needs only one or two triangular solves.
 """
 
 from __future__ import annotations
@@ -153,21 +162,28 @@ class StepReport:
     residual: float
     u_l2: float
     L_l2: float
+    factorizations: int
+    refine_passes: int
 
 
 def write_step_log(path, reports) -> None:
     """Write per-step diagnostics as CSV.
 
     Columns: step, time, drag sweeps, last relative increment, worst
-    linear-solve residual and the L2 energies of the velocity and scaled
-    gradient.
+    linear-solve residual, the L2 energies of the velocity and scaled
+    gradient, and the factorizations and refinement passes (triangular
+    solves) the step spent.
     """
-    lines = ["step,time,picard_iterations,increment,residual,u_l2,L_l2"]
+    lines = [
+        "step,time,picard_iterations,increment,residual,u_l2,L_l2,"
+        "factorizations,refine_passes"
+    ]
     for r in reports:
         inc = r.increments[-1] if r.increments else 0.0
         lines.append(
             f"{r.step},{r.t:.10g},{r.picard_iterations},{inc:.6e},"
-            f"{r.residual:.6e},{r.u_l2:.10e},{r.L_l2:.10e}"
+            f"{r.residual:.6e},{r.u_l2:.10e},{r.L_l2:.10e},"
+            f"{r.factorizations},{r.refine_passes}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -192,27 +208,85 @@ def _l2(M: sp.csr_matrix, x: np.ndarray) -> float:
     return float(np.sqrt(max(x @ (M @ x), 0.0)))
 
 
-def _step_core(ops: Operators, se: float, Au: sp.csr_matrix) -> sp.csr_matrix:
-    """Step matrix without the multiplier border.
+def _ones(B: sp.csr_matrix) -> sp.csr_matrix:
+    """B's pattern with every stored value set to one."""
+    return sp.csr_matrix((np.ones(B.nnz), B.indices, B.indptr), shape=B.shape)
+
+
+class _StepMatrix:
+    """The step matrix without the multiplier border, on one pattern.
 
     Columns are ordered [gradient, velocity, trace, pressure] (reduced to
     [velocity, pressure] in the Darcy limit); rows carry the gradient,
     momentum, mass and trace-jump equations in that order. Constant
-    pressures span the nullspace on both sides.
+    pressures span the nullspace on both sides. The velocity-velocity
+    block is ``m MU + beta D`` with ``m = sigma/dt + alpha`` and the drag
+    mass ``D``; every other block is fixed for the run.
+
+    The pattern is the union of the block patterns, including that of
+    the drag matrix ``drag`` when there is one, and ``A`` keeps it for
+    the run. The fixed blocks are written once; ``update`` writes ``m MU``
+    into the velocity block when ``m`` changes and scatters ``beta
+    D.data`` into it through a precomputed slot map on every call, with
+    no sparse arithmetic. The drag matrices passed to ``update`` must
+    share the pattern of ``drag``.
     """
-    if se == 0.0:
-        blocks = [
-            [Au, ops.GU],
-            [-ops.DP, None],
-        ]
-    else:
-        blocks = [
-            [ops.MW, -se * ops.BW, -se * ops.TW, None],
-            [se * ops.BU, Au, None, ops.GU],
-            [None, -ops.DP, None, None],
-            [ops.TH, None, None, None],
-        ]
-    return sp.bmat(blocks, format="csr")
+
+    def __init__(self, ops: Operators, se: float, drag: sp.csr_matrix | None = None):
+        dim_u = ops.velocity.global_dim
+        # The velocity block enters with the union of the MU and drag
+        # patterns; every entry is an MU or drag slot, which update writes.
+        uu = _ones(ops.MU) if drag is None else _ones(ops.MU) + _ones(drag)
+        if se == 0.0:
+            ou = 0
+            blocks = [
+                [uu, ops.GU],
+                [-ops.DP, None],
+            ]
+        else:
+            ou = ops.gradient.global_dim
+            blocks = [
+                [ops.MW, -se * ops.BW, -se * ops.TW, None],
+                [se * ops.BU, uu, None, ops.GU],
+                [None, -ops.DP, None, None],
+                [ops.TH, None, None, None],
+            ]
+        A = sp.bmat(blocks, format="csr")
+        A.sum_duplicates()
+        self.A = A
+        # Slot of every MU and drag entry in A.data, found among the keys
+        # row * n + column of the momentum rows, which canonical CSR sorts.
+        n = A.shape[0]
+        lo = A.indptr[ou]
+        rows = np.repeat(np.arange(ou, ou + dim_u), np.diff(A.indptr[ou : ou + dim_u + 1]))
+        keys = rows.astype(np.int64) * n + A.indices[lo : A.indptr[ou + dim_u]]
+
+        def slots(B):
+            C = B.tocoo()
+            return lo + np.searchsorted(keys, (C.row + ou).astype(np.int64) * n + C.col + ou)
+
+        self._mass_slots, self._mass_vals = slots(ops.MU), ops.MU.tocoo().data
+        self._drag_slots = slots(drag) if drag is not None else None
+        self._drag_base = None
+        self._m = None
+
+    def update(self, m: float, beta: float = 0.0, drag: sp.csr_matrix | None = None):
+        """Write ``m MU + beta drag`` into the velocity block of ``A``."""
+        data = self.A.data
+        if m != self._m:
+            if self._drag_slots is not None:
+                data[self._drag_slots] = 0.0
+            data[self._mass_slots] = m * self._mass_vals
+            if self._drag_slots is not None:
+                self._drag_base = data[self._drag_slots]
+            self._m = m
+        if drag is not None:
+            data[self._drag_slots] = self._drag_base + beta * drag.data
+        return self.A
+
+    def norm_inf(self) -> float:
+        """Largest absolute row sum of ``A`` (no row of the core is empty)."""
+        return float(np.add.reduceat(np.abs(self.A.data), self.A.indptr[:-1]).max())
 
 
 class _BorderedSolver:
@@ -232,8 +306,13 @@ class _BorderedSolver:
     The factorization is reused across nearby systems, since the frozen
     drag weight drifts slowly between sweeps and steps: ``solve`` refines
     with the factor it holds and refactors only when the residual stops
-    contracting. Residuals are always measured against the exact bordered
-    system of the current matrix.
+    contracting. Refinement starts from a given guess, normally the
+    previous sweep's solution, so it only has to remove the residual of
+    that guess; a guess that already meets the tolerance costs no
+    triangular solve. Residuals are always measured against the exact
+    bordered system of the current matrix. ``factor_count`` and
+    ``refine_count`` count factorizations and refinement passes (one
+    triangular solve each).
     """
 
     def __init__(self, ops: Operators, se: float):
@@ -260,6 +339,7 @@ class _BorderedSolver:
         )
         self.lu = None
         self.factor_count = 0
+        self.refine_count = 0
 
     def reset(self):
         """Drop the held factorization (call when the matrix jumps)."""
@@ -285,28 +365,39 @@ class _BorderedSolver:
         y[self.cols_p] += tau * self.c1
         return y, mu
 
-    def solve(self, A: sp.csr_matrix, b: np.ndarray, g: float = 0.0):
-        """Returns x, mu and the relative bordered-system residual."""
+    def _residual(self, A, b, g, x, mu):
+        r = b - A @ x
+        r[self.rows_p] -= mu * self.mp
+        rg = g - float(self.mp @ x[self.cols_p])
+        return r, rg, float(np.hypot(np.linalg.norm(r), rg))
+
+    def solve(self, A, a_norm, b, x0=None, mu0=0.0, g=0.0):
+        """Returns x, mu and the relative bordered-system residual.
+
+        ``a_norm`` is the largest absolute row sum of ``A``; ``x0`` and
+        ``mu0`` are the starting guess (zero when ``x0`` is omitted).
+        """
         if self.lu is None:
             self._refactor(A)
             fresh = True
         else:
             fresh = False
-        anorm = float(abs(A).sum(axis=1).max()) + float(np.abs(self.mp).sum())
+        anorm = a_norm + float(np.abs(self.mp).sum())
         bnorm = float(np.hypot(np.linalg.norm(b), g))
-        x = np.zeros(self.n)
-        mu = 0.0
-        r, rg = b.copy(), g
-        rn = rn_prev = np.inf
+        x = np.zeros(self.n) if x0 is None else np.array(x0, dtype=float)
+        mu = mu0
+        r, rg, rn = self._residual(A, b, g, x, mu)
+        scale = bnorm + anorm * np.linalg.norm(x) + 1e-300
+        rn_prev = np.inf
         for _ in range(12):
+            if rn <= 1e-13 * scale:
+                break
             dx, dmu = self._apply(r, rg)
+            self.refine_count += 1
             x += dx
             mu += dmu
-            r = b - A @ x
-            r[self.rows_p] -= mu * self.mp
-            rg = g - float(self.mp @ x[self.cols_p])
+            r, rg, rn = self._residual(A, b, g, x, mu)
             scale = bnorm + anorm * np.linalg.norm(x) + 1e-300
-            rn = float(np.hypot(np.linalg.norm(r), rg))
             if rn <= 1e-13 * scale:
                 break
             if not fresh and rn > 0.125 * rn_prev:
@@ -386,6 +477,7 @@ def run_transient(
     reports: list[StepReport] = []
     stepper = _BorderedSolver(ops, se)
     drag_mass = DragMassAssembler(U) if params.beta != 0.0 else None
+    matrix = None
 
     for step in range(1, n_steps + 1):
         t_new = step * dt
@@ -401,19 +493,20 @@ def run_transient(
         b = np.zeros(n_total)
         b[sl_u] = rhs_u
 
-        A_lin = (sigma / dt + params.alpha) * ops.MU
+        m = sigma / dt + params.alpha
         if u_prev2 is None:
             u_guess = u_prev.copy()
         else:
             u_guess = 2.0 * u_prev - u_prev2
         increments: list[float] = []
         worst_resid = 0.0
+        factors0, passes0 = stepper.factor_count, stepper.refine_count
         for it in range(1, picard.max_iter + 1):
-            Au = A_lin
-            if params.beta != 0.0:
-                Au = A_lin + params.beta * drag_mass(u_guess)
-            A = _step_core(ops, se, Au)
-            x, mu_val, resid = stepper.solve(A, b)
+            drag = drag_mass(u_guess) if params.beta != 0.0 else None
+            if matrix is None:
+                matrix = _StepMatrix(ops, se, drag)
+            A = matrix.update(m, params.beta, drag)
+            x, mu_val, resid = stepper.solve(A, matrix.norm_inf(), b, x, mu_val)
             worst_resid = max(worst_resid, resid)
             u_new = x[sl_u]
             diff = u_new - u_guess
@@ -439,6 +532,8 @@ def run_transient(
                 residual=worst_resid,
                 u_l2=_l2(ops.MU, u_prev),
                 L_l2=_l2(ops.MW, x[sl_w]) if se > 0.0 else 0.0,
+                factorizations=stepper.factor_count - factors0,
+                refine_passes=stepper.refine_count - passes0,
             )
         )
 

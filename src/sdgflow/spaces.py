@@ -21,6 +21,7 @@ degrees of freedom do not depend on the jump orientation convention.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,17 +83,25 @@ class EdgeTables:
     leg: np.ndarray  # (ne, k+1, nq)
 
 
-_TRI_CACHE: dict[tuple, TriTables] = {}
-_EDGE_CACHE: dict[tuple, EdgeTables] = {}
-# Pins cached meshes so their ids stay unique for the cache keys.
-_MESH_REFS: dict[int, StaggeredMesh] = {}
+# Tables per mesh, keyed by (kind, k, exactness). The weak keys let a
+# mesh and its tables be freed together once nothing else holds the mesh.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _cached(kind: str, build, mesh: StaggeredMesh, k: int, exactness: int):
+    per_mesh = _TABLES.setdefault(mesh, {})
+    key = (kind, k, exactness)
+    if key not in per_mesh:
+        per_mesh[key] = build(mesh, k, exactness)
+    return per_mesh[key]
 
 
 def tri_tables(mesh: StaggeredMesh, k: int, exactness: int) -> TriTables:
     """Cached per-triangle quadrature and basis tables."""
-    hit = _TRI_CACHE.get((id(mesh), k, exactness))
-    if hit is not None:
-        return hit
+    return _cached("tri", _build_tri_tables, mesh, k, exactness)
+
+
+def _build_tri_tables(mesh: StaggeredMesh, k: int, exactness: int) -> TriTables:
     nt = mesh.n_triangles
     nk = tri_dim(k)
     rule0 = triangle_quadrature(exactness, mesh.tri_coords(0))
@@ -106,16 +115,15 @@ def tri_tables(mesh: StaggeredMesh, k: int, exactness: int) -> TriTables:
         rule = triangle_quadrature(exactness, coords)
         pts[t], w[t] = rule.points, rule.weights
         val[t], grad[t] = eval_basis(k, coords, rule.points)
-    tables = TriTables(pts, w, val, grad)
-    _MESH_REFS[id(mesh)] = mesh
-    _TRI_CACHE[(id(mesh), k, exactness)] = tables
-    return tables
+    return TriTables(pts, w, val, grad)
 
 
 def edge_tables(mesh: StaggeredMesh, k: int, exactness: int) -> EdgeTables:
-    hit = _EDGE_CACHE.get((id(mesh), k, exactness))
-    if hit is not None:
-        return hit
+    """Cached per-edge quadrature, trace and Legendre tables."""
+    return _cached("edge", _build_edge_tables, mesh, k, exactness)
+
+
+def _build_edge_tables(mesh: StaggeredMesh, k: int, exactness: int) -> EdgeTables:
     ne = mesh.n_edges
     nk = tri_dim(k)
     rule0 = edge_quadrature(exactness, mesh.edge_coords(0))
@@ -133,10 +141,7 @@ def edge_tables(mesh: StaggeredMesh, k: int, exactness: int) -> EdgeTables:
             t = mesh.edge_tri[e, s]
             if t >= 0:
                 trace[e, s] = eval_basis(k, mesh.tri_coords(t), rule.points)[0]
-    tables = EdgeTables(pts, w, trace, leg)
-    _MESH_REFS[id(mesh)] = mesh
-    _EDGE_CACHE[(id(mesh), k, exactness)] = tables
-    return tables
+    return EdgeTables(pts, w, trace, leg)
 
 
 class DofSpace:

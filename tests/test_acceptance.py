@@ -2,7 +2,9 @@
 and structure properties, each at its stated tolerance.
 
 Every test carries a ``criterion`` marker; conftest.py turns the results
-into one PASS/FAIL line per criterion at the end of the run.
+into one PASS/FAIL line per criterion at the end of the run. Tests of
+criteria 1-4 use the long convergence fixtures and are also marked
+``slow``, so ``pytest -m "not slow"`` skips those fixtures entirely.
 """
 
 import time
@@ -110,6 +112,7 @@ def second_order_rows(ops_cache):
     ]
 
 
+@pytest.mark.slow
 @pytest.mark.criterion(1)
 def test_first_order_errors_on_reference_row(first_order_table):
     rows, _ = first_order_table
@@ -120,6 +123,7 @@ def test_first_order_errors_on_reference_row(first_order_table):
     assert within_factor(row.err_p, want_p)
 
 
+@pytest.mark.slow
 @pytest.mark.criterion(1)
 def test_first_order_orders_on_finest_row(first_order_table):
     rows, _ = first_order_table
@@ -128,18 +132,21 @@ def test_first_order_orders_on_finest_row(first_order_table):
         assert orders[-1] == pytest.approx(want, abs=0.2)
 
 
+@pytest.mark.slow
 @pytest.mark.criterion(1)
 def test_first_order_table_runtime(first_order_table):
     _, elapsed = first_order_table
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 @pytest.mark.criterion(2)
 def test_velocity_error_robust_in_brinkman_coefficient(brinkman_sweep_errors):
     values = np.array([brinkman_sweep_errors[eps] for eps in EPSILONS])
     assert values.max() <= 1.15 * values.min()
 
 
+@pytest.mark.slow
 @pytest.mark.criterion(3)
 @pytest.mark.parametrize("beta", BETAS)
 def test_velocity_error_robust_in_drag_coefficient(forchheimer_sweep_errors, beta):
@@ -148,12 +155,14 @@ def test_velocity_error_robust_in_drag_coefficient(forchheimer_sweep_errors, bet
     assert np.log2(e8 / e16) == pytest.approx(2.0, abs=0.2)
 
 
+@pytest.mark.slow
 @pytest.mark.criterion(4)
 def test_second_order_scheme_velocity_errors(second_order_rows):
     for row in second_order_rows:
         assert within_factor(row.err_u, REFERENCE_SECOND_ORDER_U[row.inv_h])
 
 
+@pytest.mark.slow
 @pytest.mark.criterion(4)
 def test_second_order_scheme_final_order(second_order_rows):
     orders = observed_orders([r.err_u for r in second_order_rows])

@@ -174,3 +174,13 @@ def test_gram_matrices_spd(k):
     gram = (vals * rule.weights) @ vals.T
     np.testing.assert_allclose(gram, gram.T, atol=1e-15)
     np.linalg.cholesky(gram)  # raises LinAlgError if not SPD
+
+
+def test_gauss_rules_cached_and_read_only():
+    from sdgflow.polybasis import _gauss01
+
+    nodes, weights = _gauss01(5)
+    assert _gauss01(5)[0] is nodes
+    assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0

@@ -15,6 +15,9 @@ from sdgflow.solver import (
 )
 from sdgflow.spaces import FieldCoefficients, SMOOTH_DEGREE
 
+from _oracles import reference_transient
+from test_spaces import perturbed_mesh
+
 
 def operators(n, k=1):
     return build_operators(build_staggered(build_rectangle_mesh(n, n)), k)
@@ -166,3 +169,31 @@ def test_run_validation():
         ModelParams(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         ModelParams(-1.0, 1.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def perturbed_ops():
+    return build_operators(perturbed_mesh(3, seed=2), 1)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e4])
+@pytest.mark.parametrize("scheme", [BACKWARD_EULER, BDF2])
+@pytest.mark.parametrize("eps", [1.0, 0.0])
+def test_matches_reference_step_loop(perturbed_ops, eps, scheme, beta):
+    # The in-place step matrix and warm-started refinement must give the
+    # fields and sweep counts of a loop that rebuilds every matrix and
+    # refines from zero, with no more triangular solves.
+    ops = perturbed_ops
+    params = ModelParams(eps, 1.0, beta)
+    dt, n = 0.02, 6
+    res = run_transient(ops, params, forcing, dt=dt, n_steps=n, scheme=scheme)
+    ref = reference_transient(ops, params, forcing, dt, n, scheme)
+    names = ("u", "L", "uhat", "p") if eps > 0.0 else ("u", "p")
+    for name in names:
+        got, want = getattr(res, name).values, ref[name]
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
+    assert abs(res.mu - ref["mu"]) <= 1e-10 * max(1.0, abs(ref["mu"]))
+    assert [r.picard_iterations for r in res.reports] == ref["sweeps"]
+    assert sum(r.refine_passes for r in res.reports) <= ref["solves"]
+    assert res.reports[0].factorizations >= 1
+    assert all(r.refine_passes >= 1 for r in res.reports)

@@ -300,3 +300,19 @@ def test_coefficient_length_validation():
     space = build_space(staggered(2), PRESSURE, 1)
     with pytest.raises(ValueError):
         FieldCoefficients(space, np.zeros(space.global_dim + 1))
+
+
+def test_table_cache_does_not_keep_meshes_alive():
+    import gc
+    import weakref
+
+    refs = []
+    for _ in range(20):
+        mesh = staggered(2)
+        build_space(mesh, VELOCITY, 1)
+        spaces.edge_tables(mesh, 1, spaces.SMOOTH_DEGREE)
+        assert spaces.tri_tables(mesh, 1, 4) is spaces.tri_tables(mesh, 1, 4)
+        refs.append(weakref.ref(mesh))
+    del mesh
+    gc.collect()
+    assert not any(ref() is not None for ref in refs)
