@@ -1,0 +1,75 @@
+"""Smoke check of the benchmark's output, traced and untraced.
+
+Runs ``perfbench/run.py --workload W --seed 0 --seconds 1 --trace T``
+for every workload in BENCHMARK.json and T in {0, 1}; one unit each.
+Fails unless, for every run, the last line of standard output parses
+as JSON with ``"correct": true`` and ``"failed": 0``, an untraced run
+reports every end-to-end metric of BENCHMARK.json, and standard error
+has no ``not traced, absent`` line (a traced entry point the program no
+longer offers).
+
+Usage (from the repository root): python3 .github/scripts/bench_smoke.py
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def check(workload: str, trace: int, end_to_end: list) -> list:
+    cmd = [
+        sys.executable,
+        "perfbench/run.py",
+        "--workload",
+        workload,
+        "--seed",
+        "0",
+        "--seconds",
+        "1",
+        "--trace",
+        str(trace),
+    ]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    sys.stderr.write(proc.stderr)
+    where = f"{workload} --trace {trace}"
+    problems = []
+    if proc.returncode != 0:
+        problems.append(f"{where}: exited {proc.returncode}")
+    if "not traced, absent" in proc.stderr:
+        problems.append(f"{where}: entry points not traced")
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return problems + [f"{where}: last stdout line is not JSON"]
+    if result.get("correct") is not True or result.get("failed") != 0:
+        problems.append(
+            f"{where}: correct = {result.get('correct')}, failed = {result.get('failed')}"
+        )
+    if trace == 0:
+        absent = [name for name in end_to_end if name not in result.get("metrics", {})]
+        if absent:
+            problems.append(f"{where}: end-to-end metrics absent: {', '.join(absent)}")
+    return problems
+
+
+def main() -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end = [m["name"] for m in bench["end_to_end"]]
+    problems = []
+    for workload in (w["name"] for w in bench["workloads"]):
+        for trace in (0, 1):
+            problems += check(workload, trace, end_to_end)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    print("benchmark smoke: " + ("FAILED" if problems else "passed"))
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -93,7 +93,7 @@ def assemble_mass(space: DofSpace, weight=None) -> sp.csr_matrix:
         Velocity, gradient or pressure space.
     weight : FieldCoefficients or callable, optional
         Pointwise nonnegative weight. A velocity field is taken through
-        its Euclidean norm (the frozen Picard factor); a callable maps
+        its Euclidean norm (the drag weight ``|u|``); a callable maps
         (n, 2) points to an (n,) array. Weighted integrands are not
         polynomial, so they use the enhanced quadrature tier.
     """
@@ -127,15 +127,23 @@ def assemble_mass(space: DofSpace, weight=None) -> sp.csr_matrix:
 
 
 class DragMassAssembler:
-    """Builds speed-weighted velocity mass matrices for repeated calls.
+    """Builds the drag matrices of a velocity field for repeated calls.
 
-    Matches ``assemble_mass(space, weight=FieldCoefficients(space,
-    coeffs))``, but the quadrature tables, per-triangle expansion blocks
-    and the CSR pattern are precomputed once. That matters inside the
-    frozen-drag iteration, where a fresh matrix is needed every sweep.
-    Every call returns a canonical CSR matrix on the same ``indptr`` and
-    ``indices``, so callers may scatter its ``data`` into a larger
-    pattern through a fixed index map.
+    ``drag(coeffs)`` is the speed-weighted velocity mass ``D(u)`` with
+    pointwise weight ``|u| I``; it matches ``assemble_mass(space,
+    weight=FieldCoefficients(space, coeffs))``. ``drag(coeffs,
+    jacobian=True)`` is the derivative ``J(u)`` of ``u -> D(u) u``: the
+    velocity mass with the 2x2 pointwise weight ``|u| I + u u^T / |u|``,
+    whose second term is taken as zero where ``u`` vanishes (the weight's
+    norm is at most ``2 |u|``, so ``J(0) = 0`` with no regularization).
+    Both use the same quadrature, on which ``J(u) u = 2 D(u) u`` holds
+    exactly.
+
+    The quadrature tables, per-triangle expansion blocks and the CSR
+    pattern are precomputed once, since the drag iteration needs a fresh
+    matrix every sweep. Every call returns a canonical CSR matrix on the
+    same ``indptr`` and ``indices``, so callers may scatter its ``data``
+    into a larger pattern through a fixed index map.
     """
 
     def __init__(self, space: DofSpace):
@@ -146,13 +154,11 @@ class DragMassAssembler:
         self._val = ttab.val
         self._valT = np.ascontiguousarray(ttab.val.swapaxes(1, 2))
         self._w = ttab.w
-        nt = space.mesh.n_triangles
-        n_loc = space.dof_map.shape[1]
-        self._Z = space.local_E.reshape(nt, space.ncomp, space.nk, n_loc)
-        self._ZT = np.ascontiguousarray(self._Z.swapaxes(2, 3))
+        self._Z = space.local_E
+        self._ZT = np.ascontiguousarray(self._Z.swapaxes(1, 2))
         # Each local entry (t, l, j) lands in the slot of (dof_map[t, l],
         # dof_map[t, j]) of the canonical pattern; bincount sums repeats.
-        n = space.global_dim
+        n, n_loc = space.global_dim, space.dof_map.shape[1]
         rows = np.repeat(space.dof_map, n_loc, axis=1).ravel()
         cols = np.tile(space.dof_map, (1, n_loc)).ravel()
         keys, self._slot = np.unique(rows * n + cols, return_inverse=True)
@@ -163,15 +169,27 @@ class DragMassAssembler:
         self._indices.flags.writeable = False
         self._indptr.flags.writeable = False
 
-    def __call__(self, coeffs: np.ndarray) -> sp.csr_matrix:
+    def __call__(self, coeffs: np.ndarray, jacobian: bool = False) -> sp.csr_matrix:
         space = self.space
+        nt, nk = space.mesh.n_triangles, space.nk
         coeffs = np.asarray(coeffs, dtype=float)
-        local_coeffs = coeffs[space.dof_map][:, None, :, None]
-        broken = np.matmul(self._Z, local_coeffs)[..., 0]
-        vals = np.matmul(broken, self._val)
-        w = self._w * np.hypot(vals[:, 0], vals[:, 1])
-        blocks = np.matmul(self._val * w[:, None, :], self._valT)
-        local = np.matmul(np.matmul(self._ZT, blocks[:, None]), self._Z).sum(axis=1)
+        broken = np.matmul(self._Z, coeffs[space.dof_map][:, :, None])
+        vals = np.matmul(broken.reshape(nt, 2, nk), self._val)
+        speed = np.hypot(vals[:, 0], vals[:, 1])
+        # Pointwise 2x2 weight times the quadrature weight, as (nt, 2, 2, nq).
+        weight = np.zeros((nt, 2, 2, speed.shape[1]))
+        weight[:, 0, 0] = weight[:, 1, 1] = speed
+        if jacobian:
+            inv = np.divide(1.0, speed, out=np.zeros_like(speed), where=speed > 0.0)
+            weight += vals[:, :, None] * vals[:, None] * inv[:, None, None]
+        weight *= self._w[:, None, None]
+        # Broken block B[t, (c, m), (d, n)] = sum_q val_m weight_cd val_n,
+        # then the local matrix Z^T B Z.
+        blocks = np.matmul(
+            self._val[:, None, None] * weight[:, :, :, None], self._valT[:, None, None]
+        )
+        blocks = blocks.transpose(0, 1, 3, 2, 4).reshape(nt, 2 * nk, 2 * nk)
+        local = np.matmul(np.matmul(self._ZT, blocks), self._Z)
         data = np.bincount(self._slot, weights=local.ravel(), minlength=len(self._indices))
         n = space.global_dim
         return sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))

@@ -2,28 +2,29 @@
 
 Each step solves the saddle system coupling the velocity, its scaled
 gradient, the dual-edge tangential trace, the pressure and one scalar
-multiplier that pins the pressure mean. The velocity-magnitude factor of
-the quadratic drag is frozen at the previous iterate and updated until
-the velocity increment stalls; with no drag the step is a single linear
-solve. A vanishing diffusion coefficient removes the gradient and trace
-variables from the system entirely, which keeps the matrix nonsingular
-in the Darcy limit.
+multiplier that pins the pressure mean. The quadratic drag makes the
+system nonlinear; it is solved by Newton's method on the consistent drag
+Jacobian ``J(u)`` (see forms.DragMassAssembler), one linear solve per
+sweep, until the velocity increment falls below the tolerance. With no
+drag the step is a single linear solve. A vanishing diffusion
+coefficient removes the gradient and trace variables from the system
+entirely, which keeps the matrix nonsingular in the Darcy limit.
 
-A drag sweep changes only the velocity-mass block of the step matrix, so
+A sweep changes only the velocity-velocity block of the step matrix, so
 the matrix lives on one sparsity pattern for the whole run (see
 _StepMatrix): the fixed blocks are assembled once, the mass part of the
 velocity block is rewritten only when the time-derivative weight
-changes, and each sweep writes the drag values into the pattern in place
-through a fixed index map.
+changes, and each sweep writes the Jacobian values into the pattern in
+place through a fixed index map.
 
 The bordered multiplier system is never factored directly: its dense
 coupling row defeats the fill-reducing ordering and triples the factor
 size. Instead one pressure coefficient is pinned, which makes the core
 nonsingular, and the multiplier and lost constant-pressure component are
 recovered exactly from the one-dimensional consistency and constraint
-relations; see _BorderedSolver. Factorizations are reused across drag
-sweeps and steps through iterative refinement, since the frozen weight
-drifts slowly, and are rebuilt only when refinement stops contracting.
+relations; see _BorderedSolver. Factorizations are reused across sweeps
+and steps through iterative refinement, since the Jacobian drifts slowly
+between them, and are rebuilt only when refinement stops contracting.
 Refinement starts from the previous solution, so a sweep whose answer
 barely moved needs only one or two triangular solves.
 """
@@ -93,7 +94,9 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Stopping rule for the frozen-coefficient iteration."""
+    """Stopping rule for the drag iteration: at most ``max_iter`` Newton
+    sweeps per step, stopping once the relative velocity increment is at
+    most ``tol``."""
 
     tol: float = 1e-9
     max_iter: int = 50
@@ -220,14 +223,14 @@ class _StepMatrix:
     [velocity, pressure] in the Darcy limit); rows carry the gradient,
     momentum, mass and trace-jump equations in that order. Constant
     pressures span the nullspace on both sides. The velocity-velocity
-    block is ``m MU + beta D`` with ``m = sigma/dt + alpha`` and the drag
-    mass ``D``; every other block is fixed for the run.
+    block is ``m MU + beta J`` with ``m = sigma/dt + alpha`` and the drag
+    Jacobian ``J``; every other block is fixed for the run.
 
     The pattern is the union of the block patterns, including that of
     the drag matrix ``drag`` when there is one, and ``A`` keeps it for
     the run. The fixed blocks are written once; ``update`` writes ``m MU``
     into the velocity block when ``m`` changes and scatters ``beta
-    D.data`` into it through a precomputed slot map on every call, with
+    J.data`` into it through a precomputed slot map on every call, with
     no sparse arithmetic. The drag matrices passed to ``update`` must
     share the pattern of ``drag``.
     """
@@ -303,8 +306,8 @@ class _BorderedSolver:
     relations mu = <c1, b_mass> / <mp, c1> (consistency of the mass rows)
     and <mp, x_p> = g (the mean constraint).
 
-    The factorization is reused across nearby systems, since the frozen
-    drag weight drifts slowly between sweeps and steps: ``solve`` refines
+    The factorization is reused across nearby systems, since the drag
+    Jacobian drifts slowly between sweeps and steps: ``solve`` refines
     with the factor it holds and refactors only when the residual stops
     contracting. Refinement starts from a given guess, normally the
     previous sweep's solution, so it only has to remove the residual of
@@ -313,6 +316,13 @@ class _BorderedSolver:
     bordered system of the current matrix. ``factor_count`` and
     ``refine_count`` count factorizations and refinement passes (one
     triangular solve each).
+
+    Every ``A`` passed in must share one sparsity pattern (that of
+    _StepMatrix). The pinned matrix is A's pattern with row ``rp``
+    replaced by the single pin entry ``(rp, cp)``, held in CSC form
+    together with the slot of A.data each stored entry copies; both are
+    built at the first factorization, and every factorization after it
+    only copies values.
     """
 
     def __init__(self, ops: Operators, se: float):
@@ -334,9 +344,7 @@ class _BorderedSolver:
         pin = int(np.argmax(np.abs(self.c1)))
         self._rp = self.rows_p.start + pin
         self._cp = self.cols_p.start + pin
-        self._pin_unit = sp.csr_matrix(
-            (np.asarray([1.0]), ([self._rp], [self._cp])), shape=(n, n)
-        )
+        self._pinned = None
         self.lu = None
         self.factor_count = 0
         self.refine_count = 0
@@ -345,11 +353,27 @@ class _BorderedSolver:
         """Drop the held factorization (call when the matrix jumps)."""
         self.lu = None
 
+    def _pin_pattern(self, A: sp.csr_matrix):
+        lo, hi = A.indptr[self._rp], A.indptr[self._rp + 1]
+        indptr = A.indptr.copy()
+        indptr[self._rp + 1 :] -= hi - lo - 1
+        indices = np.r_[A.indices[:lo], self._cp, A.indices[hi:]].astype(A.indices.dtype)
+        # The conversion to CSC carries the A.data slot of every entry
+        # along; slot nnz marks the pin.
+        slots = np.r_[0:lo, A.nnz, hi : A.nnz].astype(np.intc)
+        P = sp.csr_matrix((slots, indices, indptr), shape=A.shape).tocsc()
+        self._pin_slot = int(np.flatnonzero(P.data == A.nnz)[0])
+        P.data[self._pin_slot] = 0
+        self._src = P.data
+        self._pinned = sp.csc_matrix((np.zeros(P.nnz), P.indices, P.indptr), shape=A.shape)
+
     def _refactor(self, A: sp.csr_matrix):
-        core = A.copy()
-        core.data[core.indptr[self._rp] : core.indptr[self._rp + 1]] = 0.0
+        if self._pinned is None:
+            self._pin_pattern(A)
+        np.take(A.data, self._src, out=self._pinned.data)
+        self._pinned.data[self._pin_slot] = 1.0
         try:
-            self.lu = splu((core + self._pin_unit).tocsc())
+            self.lu = splu(self._pinned)
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
         self.factor_count += 1
@@ -502,11 +526,18 @@ def run_transient(
         worst_resid = 0.0
         factors0, passes0 = stepper.factor_count, stepper.refine_count
         for it in range(1, picard.max_iter + 1):
-            drag = drag_mass(u_guess) if params.beta != 0.0 else None
+            # Newton sweep: (m MU + beta J(u_k)) u_{k+1} = rhs + beta (J(u_k)
+            # - D(u_k)) u_k, where J(u) u = 2 D(u) u on the quadrature.
+            if params.beta != 0.0:
+                jac = drag_mass(u_guess, jacobian=True)
+                b_it = b.copy()
+                b_it[sl_u] += 0.5 * params.beta * (jac @ u_guess)
+            else:
+                jac, b_it = None, b
             if matrix is None:
-                matrix = _StepMatrix(ops, se, drag)
-            A = matrix.update(m, params.beta, drag)
-            x, mu_val, resid = stepper.solve(A, matrix.norm_inf(), b, x, mu_val)
+                matrix = _StepMatrix(ops, se, jac)
+            A = matrix.update(m, params.beta, jac)
+            x, mu_val, resid = stepper.solve(A, matrix.norm_inf(), b_it, x, mu_val)
             worst_resid = max(worst_resid, resid)
             u_new = x[sl_u]
             diff = u_new - u_guess

@@ -63,7 +63,40 @@ def random_triangle(rng, scale: float = 1.0) -> np.ndarray:
             return tri
 
 
-def reference_transient(ops, params, f, dt, n_steps, scheme="be", tol=1e-9, max_iter=50):
+def drag_jacobian(U, coeffs):
+    """Jacobian of ``v -> D(v) v`` at ``coeffs``, triangle by triangle.
+
+    ``D(v)`` is ``assemble_mass(U, weight=v)``; its derivative is the
+    velocity mass with the pointwise 2x2 weight ``|u| I + u u^T / |u|``
+    (second term zero where ``u`` vanishes), integrated on the enhanced
+    tier that ``assemble_mass`` uses for weights and compressed through
+    ``U.E``.
+    """
+    import scipy.sparse as sp
+
+    from sdgflow.spaces import enhanced_degree, tri_tables
+
+    ttab = tri_tables(U.mesh, U.k, enhanced_degree(U.k))
+    broken = U.broken(coeffs)
+    nk = U.nk
+    blocks = []
+    for t in range(U.mesh.n_triangles):
+        phi = ttab.val[t]
+        B = np.zeros((2 * nk, 2 * nk))
+        for q in range(phi.shape[1]):
+            u = broken[t] @ phi[:, q]
+            speed = float(np.hypot(u[0], u[1]))
+            W = speed * np.eye(2)
+            if speed > 0.0:
+                W += np.outer(u, u) / speed
+            B += ttab.w[t, q] * np.kron(W, np.outer(phi[:, q], phi[:, q]))
+        blocks.append(B)
+    return (U.E.T @ sp.block_diag(blocks, format="csr") @ U.E).tocsr()
+
+
+def reference_transient(
+    ops, params, f, dt, n_steps, scheme="be", tol=1e-9, max_iter=50, newton=False
+):
     """Straightforward step loop for checking ``solver.run_transient``.
 
     Every drag sweep assembles the whole step matrix with ``sp.bmat``,
@@ -71,6 +104,11 @@ def reference_transient(ops, params, f, dt, n_steps, scheme="be", tol=1e-9, max_
     system by iterative refinement from zero with a pinned-pressure LU
     factor that is kept across sweeps and steps and rebuilt when a
     refinement pass fails to contract the residual eightfold.
+
+    The drag sweep is the frozen-speed Picard iteration ``(m MU + beta
+    D(u_k)) u_{k+1} = rhs`` by default. With ``newton=True`` it is
+    Newton's method, ``(m MU + beta J(u_k)) u_{k+1} = rhs + beta (J(u_k)
+    - D(u_k)) u_k`` with ``J`` from :func:`drag_jacobian`.
 
     Returns a dict with the final ``u``, ``L``, ``uhat``, ``p``, ``mu``,
     the drag sweeps of every step and the number of triangular solves.
@@ -169,10 +207,17 @@ def reference_transient(ops, params, f, dt, n_steps, scheme="be", tol=1e-9, max_
         u_guess = u_prev.copy() if u_prev2 is None else 2.0 * u_prev - u_prev2
         for it in range(1, max_iter + 1):
             Au = (sigma / dt + params.alpha) * ops.MU
+            b_it = b
             if params.beta != 0.0:
-                weight = FieldCoefficients(U, u_guess)
-                Au = Au + params.beta * assemble_mass(U, weight=weight)
-            x, mu = bordered_solve(core(Au), b)
+                D = assemble_mass(U, weight=FieldCoefficients(U, u_guess))
+                if newton:
+                    J = drag_jacobian(U, u_guess)
+                    Au = Au + params.beta * J
+                    b_it = b.copy()
+                    b_it[ou : ou + du] += params.beta * ((J - D) @ u_guess)
+                else:
+                    Au = Au + params.beta * D
+            x, mu = bordered_solve(core(Au), b_it)
             u_new = x[ou : ou + du]
             inc = energy(u_new - u_guess) / max(energy(u_new), 1e-300)
             u_guess = u_new

@@ -223,6 +223,19 @@ def test_sweep_blocks(tmp_path, capsys):
     assert lines[1].startswith("1.0,") and lines[2].startswith("0.01,")
 
 
+def test_strong_drag_sweep_converges(tmp_path):
+    # At beta = 1e4 with dt = 0.025 the frozen-speed drag iteration does
+    # not contract at all (exit 2 after 50 sweeps); Newton converges.
+    cfg = write_cfg(
+        tmp_path,
+        "mode = sweep\nmesh = 4\nscheme = bdf2\nbeta = [1.0, 100.0, 1e4]\n"
+        "final_time = 0.1\nquiet = true\n",
+    )
+    out = tmp_path / "drag"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert len((out / "results.csv").read_text().splitlines()) == 4
+
+
 def test_quiet_suppresses_tables(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "mesh = 2\nproblem = zero\n")
     assert main(["solve", "--config", cfg, "--quiet"]) == 0

@@ -219,6 +219,34 @@ def test_drag_mass_assembler_matches_reference(k):
         DragMassAssembler(build_space(mesh, PRESSURE, k))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_drag_jacobian(k):
+    # J(c) is the derivative of c -> D(c) c with D(c) = assemble_mass(u,
+    # weight=c), symmetric, exactly twice D(c) against c itself, and zero
+    # at rest.
+    mesh = perturbed_mesh(3, seed=4)
+    u = build_space(mesh, VELOCITY, k)
+    drag = DragMassAssembler(u)
+    rng = np.random.default_rng(5)
+
+    def residual(c):
+        return assemble_mass(u, weight=FieldCoefficients(u, c)) @ c
+
+    for _ in range(2):
+        c = rng.standard_normal(u.global_dim)
+        J = drag(c, jacobian=True)
+        d = rng.standard_normal(u.global_dim)
+        h = 1e-6
+        fd = (residual(c + h * d) - residual(c - h * d)) / (2.0 * h)
+        np.testing.assert_allclose(J @ d, fd, atol=1e-7 * np.abs(fd).max())
+        twice = 2.0 * residual(c)
+        np.testing.assert_allclose(J @ c, twice, atol=1e-12 * np.abs(twice).max())
+        dense = J.toarray()
+        np.testing.assert_allclose(dense, dense.T, atol=1e-14 * np.abs(dense).max())
+    rest = drag(np.zeros(u.global_dim), jacobian=True)
+    assert rest.shape == (u.global_dim, u.global_dim) and not rest.data.any()
+
+
 def _pointwise_values(space, coeffs):
     ttab = spaces.tri_tables(space.mesh, space.k, spaces.enhanced_degree(space.k))
     broken = space.broken(coeffs)

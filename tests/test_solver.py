@@ -1,10 +1,10 @@
-"""Time stepping: residuals, Picard behavior, stability, temporal order."""
+"""Time stepping: residuals, drag iteration, stability, temporal order."""
 
 import numpy as np
 import pytest
 
 from sdgflow import spaces
-from sdgflow.mesh import build_rectangle_mesh, build_staggered
+from sdgflow.mesh import PrimalMesh, build_rectangle_mesh, build_staggered
 from sdgflow.solver import (
     BACKWARD_EULER,
     BDF2,
@@ -14,6 +14,7 @@ from sdgflow.solver import (
     run_transient,
 )
 from sdgflow.spaces import FieldCoefficients, SMOOTH_DEGREE
+from sdgflow.verify import run_manufactured
 
 from _oracles import reference_transient
 from test_spaces import perturbed_mesh
@@ -90,19 +91,53 @@ def test_step_satisfies_block_equations():
     np.testing.assert_allclose(r_u, 0.0, atol=1e-6 * max(1.0, np.abs(rhs).max()))
 
 
-def test_picard_increments_contract():
+@pytest.mark.parametrize("beta, max_sweeps", [(50.0, 3), (1e3, 4)])
+def test_newton_increments_converge_quadratically(beta, max_sweeps):
+    # Newton on the drag Jacobian squares the increment every sweep; the
+    # frozen-speed Picard iteration only shrinks it by a fixed factor.
     ops = operators(2)
     res = run_transient(
         ops,
-        ModelParams(1.0, 1.0, 50.0),
+        ModelParams(1.0, 1.0, beta),
         forcing,
         dt=0.1,
         n_steps=1,
         picard=PicardConfig(tol=1e-11),
     )
-    inc = [v for v in res.reports[0].increments if v > 1e-12]
-    assert len(inc) >= 3
-    assert all(b < a for a, b in zip(inc, inc[1:]))
+    inc = res.reports[0].increments
+    assert len(inc) <= max_sweeps
+    assert all(b <= 10.0 * a**2 for a, b in zip(inc, inc[1:]) if a > 1e-12)
+
+
+def jittered_square_mesh(n, seed, amp=0.15):
+    """n-by-n quads on the unit square, interior vertices moved by up to
+    amp * h in each coordinate."""
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(0.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(xs, xs, indexing="xy")
+    verts = np.column_stack([xx.ravel(), yy.ravel()])
+    ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
+    interior = ((ii > 0) & (ii < n) & (jj > 0) & (jj < n)).ravel()
+    h = 1.0 / n
+    verts[interior] += rng.uniform(-amp * h, amp * h, size=(int(interior.sum()), 2))
+    vid = lambda i, j: j * (n + 1) + i
+    quads = [
+        [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
+        for j in range(n)
+        for i in range(n)
+    ]
+    return build_staggered(PrimalMesh(verts, quads))
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.0])
+def test_strong_drag_converges_on_jittered_mesh(eps):
+    # beta = 1e4 with dt = 1/160: the frozen-speed iteration stalls just
+    # above the tolerance here (step 10 for eps = 1, step 7 for eps = 0).
+    ops = build_operators(jittered_square_mesh(4, 0), 1)
+    params = ModelParams(eps, 1.0, 1e4)
+    _, res = run_manufactured(4, 16, params, BACKWARD_EULER, 1, 0.1, ops=ops)
+    assert max(r.picard_iterations for r in res.reports) <= 6
+    assert all(r.increments[-1] <= 1e-9 for r in res.reports)
 
 
 def test_energy_stability_bound():
@@ -180,14 +215,15 @@ def perturbed_ops():
 @pytest.mark.parametrize("scheme", [BACKWARD_EULER, BDF2])
 @pytest.mark.parametrize("eps", [1.0, 0.0])
 def test_matches_reference_step_loop(perturbed_ops, eps, scheme, beta):
-    # The in-place step matrix and warm-started refinement must give the
-    # fields and sweep counts of a loop that rebuilds every matrix and
-    # refines from zero, with no more triangular solves.
+    # The in-place step matrix, the drag Jacobian and warm-started
+    # refinement must give the fields and sweep counts of a Newton loop
+    # that rebuilds every matrix, integrates the Jacobian triangle by
+    # triangle and refines from zero, with no more triangular solves.
     ops = perturbed_ops
     params = ModelParams(eps, 1.0, beta)
     dt, n = 0.02, 6
     res = run_transient(ops, params, forcing, dt=dt, n_steps=n, scheme=scheme)
-    ref = reference_transient(ops, params, forcing, dt, n, scheme)
+    ref = reference_transient(ops, params, forcing, dt, n, scheme, newton=True)
     names = ("u", "L", "uhat", "p") if eps > 0.0 else ("u", "p")
     for name in names:
         got, want = getattr(res, name).values, ref[name]
@@ -197,3 +233,11 @@ def test_matches_reference_step_loop(perturbed_ops, eps, scheme, beta):
     assert sum(r.refine_passes for r in res.reports) <= ref["solves"]
     assert res.reports[0].factorizations >= 1
     assert all(r.refine_passes >= 1 for r in res.reports)
+    if beta != 0.0:
+        # Newton and the frozen-speed Picard iteration solve the same
+        # discrete step; a tightly converged Picard run fixes it
+        # independently, up to the linear solves' backward error.
+        picard = reference_transient(ops, params, forcing, dt, n, scheme, tol=1e-12)
+        for name in names:
+            got, want = getattr(res, name).values, picard[name]
+            assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), name
