@@ -8,6 +8,7 @@ This route never touches the package quadrature code.
 
 from __future__ import annotations
 
+import weakref
 from math import comb, factorial
 
 import numpy as np
@@ -237,3 +238,566 @@ def reference_transient(
         "sweeps": sweeps,
         "solves": state["solves"],
     }
+
+
+# ----- element-by-element reference of the set-up path ---------------------
+#
+# The table builders, the space construction (global numbering and local
+# functional matrices), the six coupling operators and interpolation as
+# they were written before assembly was batched: one Python iteration per
+# triangle or edge, dense blocks accumulated as COO triplets. They read
+# only their own tables and their own expansion matrices, so a comparison
+# with the library checks every batched gather and scatter.
+
+
+def loop_tri_tables(mesh, k, exactness):
+    """Per-triangle quadrature and basis tables, one triangle at a time."""
+    from sdgflow.polybasis import eval_basis, tri_dim, triangle_quadrature
+    from sdgflow.spaces import TriTables
+
+    nt = mesh.n_triangles
+    nk = tri_dim(k)
+    rule0 = triangle_quadrature(exactness, mesh.tri_coords(0))
+    nq = len(rule0.weights)
+    pts = np.empty((nt, nq, 2))
+    w = np.empty((nt, nq))
+    val = np.empty((nt, nk, nq))
+    grad = np.empty((nt, nk, nq, 2))
+    for t in range(nt):
+        coords = mesh.tri_coords(t)
+        rule = triangle_quadrature(exactness, coords)
+        pts[t], w[t] = rule.points, rule.weights
+        val[t], grad[t] = eval_basis(k, coords, rule.points)
+    return TriTables(pts, w, val, grad)
+
+
+def loop_edge_tables(mesh, k, exactness):
+    """Per-edge quadrature, trace and Legendre tables, one edge at a time."""
+    from sdgflow.polybasis import edge_quadrature, eval_basis, tri_dim
+    from sdgflow.spaces import EdgeTables
+
+    ne = mesh.n_edges
+    nk = tri_dim(k)
+    rule0 = edge_quadrature(exactness, mesh.edge_coords(0))
+    nq = len(rule0.weights)
+    pts = np.empty((ne, nq, 2))
+    w = np.empty((ne, nq))
+    trace = np.zeros((ne, 2, nk, nq))
+    leg = np.empty((ne, k + 1, nq))
+    for e in range(ne):
+        coords = mesh.edge_coords(e)
+        rule = edge_quadrature(exactness, coords)
+        pts[e], w[e] = rule.points, rule.weights
+        leg[e] = eval_basis(k, coords, rule.points)[0]
+        for s in range(2):
+            t = mesh.edge_tri[e, s]
+            if t >= 0:
+                trace[e, s] = eval_basis(k, mesh.tri_coords(t), rule.points)[0]
+    return EdgeTables(pts, w, trace, leg)
+
+
+_LOOP_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _loop_tables(kind, mesh, k, exactness):
+    per_mesh = _LOOP_TABLES.setdefault(mesh, {})
+    key = (kind, k, exactness)
+    if key not in per_mesh:
+        build = loop_tri_tables if kind == "tri" else loop_edge_tables
+        per_mesh[key] = build(mesh, k, exactness)
+    return per_mesh[key]
+
+
+class LoopSpace:
+    """Staggered space numbered and expanded triangle by triangle.
+
+    Same attributes as ``sdgflow.spaces.DofSpace`` (``dof_map``,
+    ``local_E``, ``E``, dimensions), built from :func:`loop_tri_tables`
+    and :func:`loop_edge_tables`.
+    """
+
+    def __init__(self, mesh, kind, k):
+        import scipy.sparse as sp
+
+        from sdgflow.polybasis import tri_dim
+        from sdgflow.spaces import TRACE
+
+        self.mesh = mesh
+        self.kind = kind
+        self.k = k
+        self.nk = tri_dim(k)
+        self.nk1 = tri_dim(k - 1) if k >= 1 else 0
+        if kind == TRACE:
+            self.ncomp = 2
+            self.loc_dim = 0
+            self.global_dim = (k + 1) * len(mesh.dual_edges)
+            self.broken_dim = self.global_dim
+            self.dof_map = np.empty((0, 0), dtype=int)
+            self.local_E = np.empty((0, 0, 0))
+            self.E = sp.identity(self.global_dim, format="csr")
+            self._dual_index = {int(e): i for i, e in enumerate(mesh.dual_edges)}
+            return
+        self.ncomp = {"velocity": 2, "gradient": 4, "pressure": 1}[kind]
+        self.loc_dim = self.ncomp * self.nk
+        self.broken_dim = self.loc_dim * mesh.n_triangles
+        self._build()
+
+    def _build(self):
+        from sdgflow.spaces import PRESSURE, VELOCITY
+
+        mesh, k, nk, nk1 = self.mesh, self.k, self.nk, self.nk1
+        nt = mesh.n_triangles
+        kp1 = k + 1
+        if self.kind == VELOCITY:
+            dual = mesh.dual_edges
+            self._dual_index = {int(e): i for i, e in enumerate(dual)}
+            edge_block = kp1 * len(dual)
+            self.global_dim = edge_block + 2 * nk1 * nt
+            n_loc = 2 * kp1 + 2 * nk1
+        elif self.kind == PRESSURE:
+            primal = mesh.primal_edges
+            self._primal_index = {int(e): i for i, e in enumerate(primal)}
+            edge_block = kp1 * len(primal)
+            self.global_dim = edge_block + nk1 * nt
+            n_loc = kp1 + nk1
+        else:  # GRADIENT
+            primal = mesh.primal_edges
+            self._primal_index = {int(e): i for i, e in enumerate(primal)}
+            edge_block = 2 * kp1 * len(primal)
+            tang_block = 2 * kp1 * nt
+            self.global_dim = edge_block + tang_block + 4 * nk1 * nt
+            n_loc = 4 * kp1 + 4 * nk1
+        self._edge_block = edge_block
+        self.dof_map = np.empty((nt, n_loc), dtype=int)
+        for t in range(nt):
+            self.dof_map[t] = self._local_dofs(t)
+        self._assemble_expansion()
+
+    def _local_dofs(self, t):
+        from sdgflow.spaces import PRESSURE, VELOCITY
+
+        mesh, k, nk1 = self.mesh, self.k, self.nk1
+        kp1 = k + 1
+        ids = []
+        if self.kind == VELOCITY:
+            for de in mesh.tri_dual[t]:
+                base = self._dual_index[int(de)] * kp1
+                ids.extend(range(base, base + kp1))
+            base = self._edge_block + t * 2 * nk1
+            ids.extend(range(base, base + 2 * nk1))
+        elif self.kind == PRESSURE:
+            base = self._primal_index[int(mesh.tri_pedge[t])] * kp1
+            ids.extend(range(base, base + kp1))
+            base = self._edge_block + t * nk1
+            ids.extend(range(base, base + nk1))
+        else:
+            base = self._primal_index[int(mesh.tri_pedge[t])] * 2 * kp1
+            ids.extend(range(base, base + 2 * kp1))
+            base = self._edge_block + t * 2 * kp1
+            ids.extend(range(base, base + 2 * kp1))
+            base = self._edge_block + 2 * kp1 * mesh.n_triangles + t * 4 * nk1
+            ids.extend(range(base, base + 4 * nk1))
+        return np.array(ids, dtype=int)
+
+    def _edge_moments(self, etab, e, side):
+        h = self.mesh.edge_length[e]
+        return (etab.leg[e] * (etab.w[e] / h)) @ etab.trace[e, side].T
+
+    def _interior_moments(self, ttab, t, area):
+        return (ttab.val[t, : self.nk1] * (ttab.w[t] / area)) @ ttab.val[t].T
+
+    def _functional_matrix(self, t, ttab, etab, areas):
+        from sdgflow.spaces import PRESSURE, VELOCITY
+
+        mesh, k, nk, nk1 = self.mesh, self.k, self.nk, self.nk1
+        kp1 = k + 1
+        V = np.zeros((self.loc_dim, self.loc_dim))
+        if self.kind == VELOCITY:
+            row = 0
+            for de in mesh.tri_dual[t]:
+                side = 0 if mesh.edge_tri[de, 0] == t else 1
+                mom = self._edge_moments(etab, de, side)
+                n_hat = mesh.edge_canon_normal[de]
+                for c in range(2):
+                    V[row : row + kp1, c * nk : (c + 1) * nk] += n_hat[c] * mom
+                row += kp1
+            imom = self._interior_moments(ttab, t, areas[t])
+            for c in range(2):
+                V[row : row + nk1, c * nk : (c + 1) * nk] = imom
+                row += nk1
+        elif self.kind == PRESSURE:
+            pe = mesh.tri_pedge[t]
+            side = 0 if mesh.edge_tri[pe, 0] == t else 1
+            V[:kp1, :] = self._edge_moments(etab, pe, side)
+            V[kp1:, :] = self._interior_moments(ttab, t, areas[t])
+        else:
+            pe = mesh.tri_pedge[t]
+            side = 0 if mesh.edge_tri[pe, 0] == t else 1
+            mom = self._edge_moments(etab, pe, side)
+            n_hat = mesh.edge_canon_normal[pe]
+            t_hat = mesh.edge_canon_tangent[pe]
+            row = 0
+            for direction in (n_hat, t_hat):
+                for r in range(2):
+                    for c in range(2):
+                        comp = 2 * r + c
+                        V[row : row + kp1, comp * nk : (comp + 1) * nk] += (
+                            direction[c] * mom
+                        )
+                    row += kp1
+            imom = self._interior_moments(ttab, t, areas[t])
+            for comp in range(4):
+                V[row : row + nk1, comp * nk : (comp + 1) * nk] = imom
+                row += nk1
+        return V
+
+    def _assemble_expansion(self):
+        import scipy.sparse as sp
+
+        from sdgflow.spaces import std_degree
+
+        mesh = self.mesh
+        deg = std_degree(self.k)
+        ttab = _loop_tables("tri", mesh, self.k, deg)
+        etab = _loop_tables("edge", mesh, self.k, deg)
+        areas = mesh.tri_areas()
+        nt = mesh.n_triangles
+        n_loc = self.dof_map.shape[1]
+        rows = np.empty(nt * self.loc_dim * n_loc, dtype=int)
+        cols = np.empty_like(rows)
+        data = np.empty(rows.shape)
+        blk = self.loc_dim * n_loc
+        self.local_E = np.empty((nt, self.loc_dim, n_loc))
+        for t in range(nt):
+            V = self._functional_matrix(t, ttab, etab, areas)
+            Vinv = np.linalg.inv(V)
+            self.local_E[t] = Vinv
+            r = np.repeat(np.arange(self.loc_dim) + t * self.loc_dim, n_loc)
+            c = np.tile(self.dof_map[t], self.loc_dim)
+            rows[t * blk : (t + 1) * blk] = r
+            cols[t * blk : (t + 1) * blk] = c
+            data[t * blk : (t + 1) * blk] = Vinv.ravel()
+        self.E = sp.coo_matrix(
+            (data, (rows, cols)), shape=(self.broken_dim, self.global_dim)
+        ).tocsr()
+
+    def trace_edge_dofs(self, e):
+        base = self._dual_index[int(e)] * (self.k + 1)
+        return np.arange(base, base + self.k + 1)
+
+
+class _Coo:
+    """Accumulates dense blocks into COO triplets in broken indexing."""
+
+    def __init__(self):
+        self.rows = []
+        self.cols = []
+        self.vals = []
+
+    def put(self, rbase, cbase, block):
+        nr, nc = block.shape
+        self.rows.append(np.repeat(np.arange(rbase, rbase + nr), nc))
+        self.cols.append(np.tile(np.arange(cbase, cbase + nc), nr))
+        self.vals.append(block.ravel())
+
+    def matrix(self, shape):
+        import scipy.sparse as sp
+
+        return sp.coo_matrix(
+            (
+                np.concatenate(self.vals),
+                (np.concatenate(self.rows), np.concatenate(self.cols)),
+            ),
+            shape=shape,
+        )
+
+
+def _compressed(test, trial, buf):
+    broken = buf.matrix((test.broken_dim, trial.broken_dim)).tocsr()
+    return (test.E.T @ broken @ trial.E).tocsr()
+
+
+def _grad_val(mesh, k):
+    from sdgflow.spaces import std_degree
+
+    ttab = _loop_tables("tri", mesh, k, std_degree(k))
+    return np.einsum("tmqc,tq,tnq->tcmn", ttab.grad, ttab.w, ttab.val)
+
+
+def _edge_sides(mesh, e):
+    if mesh.edge_tri[e, 1] < 0:
+        return (0,), (1.0, 0.0)
+    return (0, 1), (0.5, 0.5)
+
+
+def _std_edge_tables(mesh, k):
+    from sdgflow.spaces import std_degree
+
+    return _loop_tables("edge", mesh, k, std_degree(k))
+
+
+def loop_mass(space):
+    """Mass matrix of a volume space, one diagonal block per triangle."""
+    import scipy.sparse as sp
+
+    from sdgflow.spaces import std_degree
+
+    ttab = _loop_tables("tri", space.mesh, space.k, std_degree(space.k))
+    blocks = []
+    for t in range(space.mesh.n_triangles):
+        m = (ttab.val[t] * ttab.w[t]) @ ttab.val[t].T
+        blocks.append(np.kron(np.eye(space.ncomp), m))
+    broken = sp.block_diag(blocks, format="csr")
+    return (space.E.T @ broken @ space.E).tocsr()
+
+
+def loop_pressure_integral(p_space):
+    """Integrals of the pressure basis, one triangle at a time."""
+    from sdgflow.spaces import std_degree
+
+    ttab = _loop_tables("tri", p_space.mesh, p_space.k, std_degree(p_space.k))
+    broken = np.array([ttab.val[t] @ ttab.w[t] for t in range(p_space.mesh.n_triangles)])
+    return p_space.E.T @ broken.ravel()
+
+
+def loop_velocity_gradient(u_space, w_space):
+    mesh, k = u_space.mesh, u_space.k
+    nk, locU, locW = u_space.nk, u_space.loc_dim, w_space.loc_dim
+    D = _grad_val(mesh, k)
+    etab = _std_edge_tables(mesh, k)
+    buf = _Coo()
+    for t in range(mesh.n_triangles):
+        for a in range(2):
+            for c in range(2):
+                buf.put(t * locU + a * nk, t * locW + (2 * a + c) * nk, D[t, c])
+    for e in mesh.primal_edges:
+        ts = mesh.edge_tri[e]
+        sides, avg = _edge_sides(mesh, e)
+        n = mesh.edge_normal[e]
+        tw = etab.trace[e] * etab.w[e]
+        for sv in sides:
+            for sg in sides:
+                S = tw[sv] @ etab.trace[e, sg].T
+                f = -mesh.edge_sign[e, sv] * avg[sg]
+                for a in range(2):
+                    for c in range(2):
+                        buf.put(
+                            ts[sv] * locU + a * nk,
+                            ts[sg] * locW + (2 * a + c) * nk,
+                            (f * n[c]) * S,
+                        )
+    for e in mesh.dual_edges:
+        ts = mesh.edge_tri[e]
+        n, tv = mesh.edge_normal[e], mesh.edge_tangent[e]
+        tw = etab.trace[e] * etab.w[e]
+        for s in (0, 1):
+            S = tw[s] @ etab.trace[e, s].T
+            f = -mesh.edge_sign[e, s]
+            for a in range(2):
+                for r in range(2):
+                    for c in range(2):
+                        buf.put(
+                            ts[s] * locU + a * nk,
+                            ts[s] * locW + (2 * r + c) * nk,
+                            (f * tv[a] * tv[r] * n[c]) * S,
+                        )
+    return _compressed(u_space, w_space, buf)
+
+
+def loop_velocity_gradient_adjoint(w_space, u_space):
+    mesh, k = w_space.mesh, w_space.k
+    nk, locU, locW = u_space.nk, u_space.loc_dim, w_space.loc_dim
+    D = _grad_val(mesh, k)
+    etab = _std_edge_tables(mesh, k)
+    buf = _Coo()
+    for t in range(mesh.n_triangles):
+        for a in range(2):
+            for c in range(2):
+                buf.put(t * locW + (2 * a + c) * nk, t * locU + a * nk, -D[t, c])
+    for e in mesh.dual_edges:
+        ts = mesh.edge_tri[e]
+        n = mesh.edge_normal[e]
+        tw = etab.trace[e] * etab.w[e]
+        for sg in (0, 1):
+            f = 0.5 * mesh.edge_sign[e, sg]
+            for sv in (0, 1):
+                S = tw[sg] @ etab.trace[e, sv].T
+                for r in range(2):
+                    for c in range(2):
+                        for a in range(2):
+                            buf.put(
+                                ts[sg] * locW + (2 * r + c) * nk,
+                                ts[sv] * locU + a * nk,
+                                (f * n[r] * n[c] * n[a]) * S,
+                            )
+    return _compressed(w_space, u_space, buf)
+
+
+def loop_divergence(p_space, u_space):
+    mesh, k = p_space.mesh, p_space.k
+    nk, locU = p_space.nk, u_space.loc_dim
+    D = _grad_val(mesh, k)
+    etab = _std_edge_tables(mesh, k)
+    buf = _Coo()
+    for t in range(mesh.n_triangles):
+        for a in range(2):
+            buf.put(t * nk, t * locU + a * nk, D[t, a])
+    for e in mesh.dual_edges:
+        ts = mesh.edge_tri[e]
+        n = mesh.edge_normal[e]
+        tw = etab.trace[e] * etab.w[e]
+        for sq in (0, 1):
+            f = -0.5 * mesh.edge_sign[e, sq]
+            for sv in (0, 1):
+                S = tw[sq] @ etab.trace[e, sv].T
+                for a in range(2):
+                    buf.put(ts[sq] * nk, ts[sv] * locU + a * nk, (f * n[a]) * S)
+    return _compressed(p_space, u_space, buf)
+
+
+def loop_divergence_adjoint(u_space, p_space):
+    mesh, k = u_space.mesh, u_space.k
+    nk, locU = p_space.nk, u_space.loc_dim
+    D = _grad_val(mesh, k)
+    etab = _std_edge_tables(mesh, k)
+    buf = _Coo()
+    for t in range(mesh.n_triangles):
+        for a in range(2):
+            buf.put(t * locU + a * nk, t * nk, -D[t, a])
+    for e in mesh.primal_edges:
+        ts = mesh.edge_tri[e]
+        sides, avg = _edge_sides(mesh, e)
+        n = mesh.edge_normal[e]
+        tw = etab.trace[e] * etab.w[e]
+        for sv in sides:
+            for sq in sides:
+                S = tw[sv] @ etab.trace[e, sq].T
+                f = mesh.edge_sign[e, sv] * avg[sq]
+                for a in range(2):
+                    buf.put(ts[sv] * locU + a * nk, ts[sq] * nk, (f * n[a]) * S)
+    return _compressed(u_space, p_space, buf)
+
+
+def loop_trace_jump(t_space, w_space):
+    mesh, k = t_space.mesh, t_space.k
+    nk, locW = w_space.nk, w_space.loc_dim
+    etab = _std_edge_tables(mesh, k)
+    buf = _Coo()
+    for e in mesh.dual_edges:
+        ts = mesh.edge_tri[e]
+        n = mesh.edge_normal[e]
+        that = mesh.edge_canon_tangent[e]
+        rbase = int(t_space.trace_edge_dofs(e)[0])
+        lw = etab.leg[e] * etab.w[e]
+        for s in (0, 1):
+            B = lw @ etab.trace[e, s].T
+            f = mesh.edge_sign[e, s]
+            for r in range(2):
+                for c in range(2):
+                    buf.put(
+                        rbase, ts[s] * locW + (2 * r + c) * nk, (f * that[r] * n[c]) * B
+                    )
+    return _compressed(t_space, w_space, buf)
+
+
+def loop_trace_jump_adjoint(w_space, t_space):
+    mesh, k = w_space.mesh, w_space.k
+    nk, locW = w_space.nk, w_space.loc_dim
+    etab = _std_edge_tables(mesh, k)
+    buf = _Coo()
+    for e in mesh.dual_edges:
+        ts = mesh.edge_tri[e]
+        n = mesh.edge_normal[e]
+        that = mesh.edge_canon_tangent[e]
+        cbase = int(t_space.trace_edge_dofs(e)[0])
+        for s in (0, 1):
+            B = (etab.trace[e, s] * etab.w[e]) @ etab.leg[e].T
+            f = mesh.edge_sign[e, s]
+            for r in range(2):
+                for c in range(2):
+                    buf.put(
+                        ts[s] * locW + (2 * r + c) * nk, cbase, (f * that[r] * n[c]) * B
+                    )
+    return _compressed(w_space, t_space, buf)
+
+
+def loop_interpolate(space, fieldfn):
+    """Moment functionals of a smooth field, edge by edge and triangle by
+    triangle; returns the global coefficient vector."""
+    from sdgflow.spaces import PRESSURE, SMOOTH_DEGREE, TRACE, VELOCITY
+
+    mesh, k = space.mesh, space.k
+    kp1 = k + 1
+    g = np.zeros(space.global_dim)
+    etab = _loop_tables("edge", mesh, k, SMOOTH_DEGREE)
+
+    def field(pts):
+        return np.asarray(fieldfn(pts), dtype=float)
+
+    if space.kind == TRACE:
+        for i, e in enumerate(mesh.dual_edges):
+            vals = field(etab.pts[e])
+            tang = vals @ mesh.edge_canon_tangent[e]
+            scale = (2 * np.arange(kp1) + 1) / mesh.edge_length[e]
+            g[i * kp1 : (i + 1) * kp1] = scale * ((etab.leg[e] * etab.w[e]) @ tang)
+        return g
+
+    ttab = _loop_tables("tri", mesh, k, SMOOTH_DEGREE)
+    areas = mesh.tri_areas()
+    nk1 = space.nk1
+
+    if space.kind == VELOCITY:
+        for i, e in enumerate(mesh.dual_edges):
+            vals = field(etab.pts[e])
+            normal = vals @ mesh.edge_canon_normal[e]
+            g[i * kp1 : (i + 1) * kp1] = (
+                (etab.leg[e] * (etab.w[e] / mesh.edge_length[e])) @ normal
+            )
+        if nk1:
+            for tri in range(mesh.n_triangles):
+                vals = field(ttab.pts[tri])
+                mom = (ttab.val[tri, :nk1] * (ttab.w[tri] / areas[tri])) @ vals
+                base = space._edge_block + tri * 2 * nk1
+                g[base : base + 2 * nk1] = mom.T.ravel()
+    elif space.kind == PRESSURE:
+        for i, e in enumerate(mesh.primal_edges):
+            vals = field(etab.pts[e])
+            g[i * kp1 : (i + 1) * kp1] = (
+                (etab.leg[e] * (etab.w[e] / mesh.edge_length[e])) @ vals
+            )
+        if nk1:
+            for tri in range(mesh.n_triangles):
+                vals = field(ttab.pts[tri])
+                base = space._edge_block + tri * nk1
+                g[base : base + nk1] = (
+                    ttab.val[tri, :nk1] * (ttab.w[tri] / areas[tri])
+                ) @ vals
+    else:  # GRADIENT
+        for i, e in enumerate(mesh.primal_edges):
+            vals = field(etab.pts[e])
+            wob = etab.leg[e] * (etab.w[e] / mesh.edge_length[e])
+            gn = vals @ mesh.edge_canon_normal[e]
+            base = i * 2 * kp1
+            for r in range(2):
+                g[base + r * kp1 : base + (r + 1) * kp1] = wob @ gn[:, r]
+        tang_base = space._edge_block
+        for tri in range(mesh.n_triangles):
+            pe = mesh.tri_pedge[tri]
+            vals = field(etab.pts[pe])
+            wob = etab.leg[pe] * (etab.w[pe] / mesh.edge_length[pe])
+            gt = vals @ mesh.edge_canon_tangent[pe]
+            base = tang_base + tri * 2 * kp1
+            for r in range(2):
+                g[base + r * kp1 : base + (r + 1) * kp1] = wob @ gt[:, r]
+        if nk1:
+            ibase = tang_base + 2 * kp1 * mesh.n_triangles
+            for tri in range(mesh.n_triangles):
+                vals = field(ttab.pts[tri])
+                mom = np.einsum(
+                    "mq,qrc->rcm",
+                    ttab.val[tri, :nk1] * (ttab.w[tri] / areas[tri]),
+                    vals,
+                )
+                base = ibase + tri * 4 * nk1
+                g[base : base + 4 * nk1] = mom.ravel()
+    return g
