@@ -10,6 +10,13 @@ turns into the actual trace; jumping quantities carry the edge
 orientation signs. Boundary primal edges keep the one-sided value, so
 the no-slip condition is enforced weakly through the jump terms.
 
+Assembly is batched: the volume terms take one table contraction for
+all triangles, and each edge term one array expression per edge class
+(primal or dual edges, and one pair of adjacent sides) that builds the
+dense local blocks of all those edges at once. The blocks are scattered
+in broken indexing as one COO matrix and then compressed; there is no
+Python loop per element or edge.
+
 Convention: the first space argument is the test (row) space, the second
 the trial (column) space.
 """
@@ -35,33 +42,53 @@ from .spaces import (
 )
 
 
-class _Coo:
-    """Accumulates dense blocks into COO triplets in broken indexing."""
-
-    def __init__(self):
-        self.rows = []
-        self.cols = []
-        self.vals = []
-
-    def put(self, rbase, cbase, block):
-        nr, nc = block.shape
-        self.rows.append(np.repeat(np.arange(rbase, rbase + nr), nc))
-        self.cols.append(np.tile(np.arange(cbase, cbase + nc), nr))
-        self.vals.append(block.ravel())
-
-    def matrix(self, shape):
-        return sp.coo_matrix(
-            (
-                np.concatenate(self.vals),
-                (np.concatenate(self.rows), np.concatenate(self.cols)),
-            ),
-            shape=shape,
-        )
-
-
-def _compressed(test: DofSpace, trial: DofSpace, buf: _Coo) -> sp.csr_matrix:
-    broken = buf.matrix((test.broken_dim, trial.broken_dim)).tocsr()
+def _compressed(test: DofSpace, trial: DofSpace, parts) -> sp.csr_matrix:
+    """``E_test^T A E_trial`` for the broken matrix ``A`` given as dense
+    blocks: each part is (row offsets (n,), column offsets (n,), blocks
+    (n, nr, nc)) in broken indexing; overlapping blocks add up."""
+    rows, cols, vals = [], [], []
+    for r0, c0, blocks in parts:
+        _, nr, nc = blocks.shape
+        r = (r0[:, None] + np.arange(nr))[:, :, None]
+        c = (c0[:, None] + np.arange(nc))[:, None, :]
+        rows.append(np.broadcast_to(r, blocks.shape).ravel())
+        cols.append(np.broadcast_to(c, blocks.shape).ravel())
+        vals.append(blocks.ravel())
+    broken = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(test.broken_dim, trial.broken_dim),
+    ).tocsr()
     return (test.E.T @ broken @ trial.E).tocsr()
+
+
+def _kron(coef: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Per-edge Kronecker products: out[n, (i, m), (j, l)] = coef[n, i, j] *
+    blocks[n, m, l], for component-stacked rows and columns."""
+    n, p, q = coef.shape
+    _, nr, nc = blocks.shape
+    out = coef[:, :, None, :, None] * blocks[:, None, :, None, :]
+    return out.reshape(n, p * nr, q * nc)
+
+
+def _edge_mass(etab, edges, s_test, s_trial) -> np.ndarray:
+    """(n, nk, nk) edge integrals of the basis traces from side s_test
+    against those from side s_trial."""
+    tw = etab.trace[edges, s_test] * etab.w[edges][:, None]
+    return np.matmul(tw, etab.trace[edges, s_trial].swapaxes(1, 2))
+
+
+def _side_pairs(mesh, edges):
+    """(edges, s1, s2, avg) for each pair of present sides of the given
+    edges. ``avg`` weights the single-valued average of a trace: 1 on
+    boundary edges (one side) and 1/2 on interior edges."""
+    two = mesh.edge_tri[edges, 1] >= 0
+    avg = np.where(two, 0.5, 1.0)
+    pairs = []
+    for s1 in (0, 1):
+        for s2 in (0, 1):
+            sel = two if s1 or s2 else slice(None)
+            pairs.append((edges[sel], s1, s2, avg[sel]))
+    return pairs
 
 
 def _check(space: DofSpace, kind: str, mesh, k):
@@ -75,13 +102,6 @@ def _grad_val(mesh, k):
     """D[t, c, m, n] = integral over triangle t of (d_c phi_m) phi_n."""
     ttab = tri_tables(mesh, k, std_degree(k))
     return np.einsum("tmqc,tq,tnq->tcmn", ttab.grad, ttab.w, ttab.val)
-
-
-def _edge_sides(mesh, e):
-    """Present sides and the averaging weights of a single-valued trace."""
-    if mesh.edge_tri[e, 1] < 0:
-        return (0,), (1.0, 0.0)
-    return (0, 1), (0.5, 0.5)
 
 
 def assemble_mass(space: DofSpace, weight=None) -> sp.csr_matrix:
@@ -209,43 +229,30 @@ def assemble_velocity_gradient(u_space: DofSpace, w_space: DofSpace) -> sp.csr_m
     nk, locU, locW = u_space.nk, u_space.loc_dim, w_space.loc_dim
     D = _grad_val(mesh, k)
     etab = edge_tables(mesh, k, std_degree(k))
-    buf = _Coo()
-    for t in range(mesh.n_triangles):
+    tris = np.arange(mesh.n_triangles)
+    parts = [
+        (tris * locU + a * nk, tris * locW + (2 * a + c) * nk, D[:, c])
+        for a in range(2)
+        for c in range(2)
+    ]
+    for e, sv, sg, avg in _side_pairs(mesh, mesh.primal_edges):
+        ts = mesh.edge_tri[e]
+        f = -mesh.edge_sign[e, sv] * avg
+        coef = (f[:, None] * mesh.edge_normal[e])[:, None]
+        blocks = _kron(coef, _edge_mass(etab, e, sv, sg))
+        # Velocity component a pairs with row a of the matrix field.
         for a in range(2):
-            for c in range(2):
-                buf.put(t * locU + a * nk, t * locW + (2 * a + c) * nk, D[t, c])
-    for e in mesh.primal_edges:
-        ts = mesh.edge_tri[e]
-        sides, avg = _edge_sides(mesh, e)
-        n = mesh.edge_normal[e]
-        tw = etab.trace[e] * etab.w[e]
-        for sv in sides:
-            for sg in sides:
-                S = tw[sv] @ etab.trace[e, sg].T
-                f = -mesh.edge_sign[e, sv] * avg[sg]
-                for a in range(2):
-                    for c in range(2):
-                        buf.put(
-                            ts[sv] * locU + a * nk,
-                            ts[sg] * locW + (2 * a + c) * nk,
-                            (f * n[c]) * S,
-                        )
-    for e in mesh.dual_edges:
-        ts = mesh.edge_tri[e]
-        n, tv = mesh.edge_normal[e], mesh.edge_tangent[e]
-        tw = etab.trace[e] * etab.w[e]
-        for s in (0, 1):
-            S = tw[s] @ etab.trace[e, s].T
-            f = -mesh.edge_sign[e, s]
-            for a in range(2):
-                for r in range(2):
-                    for c in range(2):
-                        buf.put(
-                            ts[s] * locU + a * nk,
-                            ts[s] * locW + (2 * r + c) * nk,
-                            (f * tv[a] * tv[r] * n[c]) * S,
-                        )
-    return _compressed(u_space, w_space, buf)
+            rows, cols = ts[:, sv] * locU + a * nk, ts[:, sg] * locW + 2 * a * nk
+            parts.append((rows, cols, blocks))
+    e = mesh.dual_edges
+    n, tv = mesh.edge_normal[e], mesh.edge_tangent[e]
+    for s in (0, 1):
+        ts = mesh.edge_tri[e, s]
+        f = -mesh.edge_sign[e, s]
+        coef = np.einsum("e,ea,er,ec->earc", f, tv, tv, n).reshape(-1, 2, 4)
+        blocks = _kron(coef, _edge_mass(etab, e, s, s))
+        parts.append((ts * locU, ts * locW, blocks))
+    return _compressed(u_space, w_space, parts)
 
 
 def assemble_velocity_gradient_adjoint(
@@ -263,28 +270,20 @@ def assemble_velocity_gradient_adjoint(
     nk, locU, locW = u_space.nk, u_space.loc_dim, w_space.loc_dim
     D = _grad_val(mesh, k)
     etab = edge_tables(mesh, k, std_degree(k))
-    buf = _Coo()
-    for t in range(mesh.n_triangles):
-        for a in range(2):
-            for c in range(2):
-                buf.put(t * locW + (2 * a + c) * nk, t * locU + a * nk, -D[t, c])
-    for e in mesh.dual_edges:
+    tris = np.arange(mesh.n_triangles)
+    parts = [
+        (tris * locW + (2 * a + c) * nk, tris * locU + a * nk, -D[:, c])
+        for a in range(2)
+        for c in range(2)
+    ]
+    for e, sg, sv, _ in _side_pairs(mesh, mesh.dual_edges):
         ts = mesh.edge_tri[e]
         n = mesh.edge_normal[e]
-        tw = etab.trace[e] * etab.w[e]
-        for sg in (0, 1):
-            f = 0.5 * mesh.edge_sign[e, sg]
-            for sv in (0, 1):
-                S = tw[sg] @ etab.trace[e, sv].T
-                for r in range(2):
-                    for c in range(2):
-                        for a in range(2):
-                            buf.put(
-                                ts[sg] * locW + (2 * r + c) * nk,
-                                ts[sv] * locU + a * nk,
-                                (f * n[r] * n[c] * n[a]) * S,
-                            )
-    return _compressed(w_space, u_space, buf)
+        f = 0.5 * mesh.edge_sign[e, sg]
+        coef = np.einsum("e,er,ec,ea->erca", f, n, n, n).reshape(-1, 4, 2)
+        blocks = _kron(coef, _edge_mass(etab, e, sg, sv))
+        parts.append((ts[:, sg] * locW, ts[:, sv] * locU, blocks))
+    return _compressed(w_space, u_space, parts)
 
 
 def assemble_divergence(p_space: DofSpace, u_space: DofSpace) -> sp.csr_matrix:
@@ -296,21 +295,15 @@ def assemble_divergence(p_space: DofSpace, u_space: DofSpace) -> sp.csr_matrix:
     nk, locU = p_space.nk, u_space.loc_dim
     D = _grad_val(mesh, k)
     etab = edge_tables(mesh, k, std_degree(k))
-    buf = _Coo()
-    for t in range(mesh.n_triangles):
-        for a in range(2):
-            buf.put(t * nk, t * locU + a * nk, D[t, a])
-    for e in mesh.dual_edges:
+    tris = np.arange(mesh.n_triangles)
+    parts = [(tris * nk, tris * locU + a * nk, D[:, a]) for a in range(2)]
+    for e, sq, sv, _ in _side_pairs(mesh, mesh.dual_edges):
         ts = mesh.edge_tri[e]
-        n = mesh.edge_normal[e]
-        tw = etab.trace[e] * etab.w[e]
-        for sq in (0, 1):
-            f = -0.5 * mesh.edge_sign[e, sq]
-            for sv in (0, 1):
-                S = tw[sq] @ etab.trace[e, sv].T
-                for a in range(2):
-                    buf.put(ts[sq] * nk, ts[sv] * locU + a * nk, (f * n[a]) * S)
-    return _compressed(p_space, u_space, buf)
+        f = -0.5 * mesh.edge_sign[e, sq]
+        coef = (f[:, None] * mesh.edge_normal[e])[:, None]
+        blocks = _kron(coef, _edge_mass(etab, e, sq, sv))
+        parts.append((ts[:, sq] * nk, ts[:, sv] * locU, blocks))
+    return _compressed(p_space, u_space, parts)
 
 
 def assemble_divergence_adjoint(u_space: DofSpace, p_space: DofSpace) -> sp.csr_matrix:
@@ -322,22 +315,21 @@ def assemble_divergence_adjoint(u_space: DofSpace, p_space: DofSpace) -> sp.csr_
     nk, locU = p_space.nk, u_space.loc_dim
     D = _grad_val(mesh, k)
     etab = edge_tables(mesh, k, std_degree(k))
-    buf = _Coo()
-    for t in range(mesh.n_triangles):
-        for a in range(2):
-            buf.put(t * locU + a * nk, t * nk, -D[t, a])
-    for e in mesh.primal_edges:
+    tris = np.arange(mesh.n_triangles)
+    parts = [(tris * locU + a * nk, tris * nk, -D[:, a]) for a in range(2)]
+    for e, sv, sq, avg in _side_pairs(mesh, mesh.primal_edges):
         ts = mesh.edge_tri[e]
-        sides, avg = _edge_sides(mesh, e)
-        n = mesh.edge_normal[e]
-        tw = etab.trace[e] * etab.w[e]
-        for sv in sides:
-            for sq in sides:
-                S = tw[sv] @ etab.trace[e, sq].T
-                f = mesh.edge_sign[e, sv] * avg[sq]
-                for a in range(2):
-                    buf.put(ts[sv] * locU + a * nk, ts[sq] * nk, (f * n[a]) * S)
-    return _compressed(u_space, p_space, buf)
+        f = mesh.edge_sign[e, sv] * avg
+        coef = (f[:, None] * mesh.edge_normal[e])[:, :, None]
+        blocks = _kron(coef, _edge_mass(etab, e, sv, sq))
+        parts.append((ts[:, sv] * locU, ts[:, sq] * nk, blocks))
+    return _compressed(u_space, p_space, parts)
+
+
+def _trace_jump_coef(mesh, e, s) -> np.ndarray:
+    """(n, 4) coefficients sign * t_hat[r] * n[c] of component 2r + c."""
+    f, that, n = mesh.edge_sign[e, s], mesh.edge_canon_tangent[e], mesh.edge_normal[e]
+    return np.einsum("e,er,ec->erc", f, that, n).reshape(-1, 4)
 
 
 def assemble_trace_jump(t_space: DofSpace, w_space: DofSpace) -> sp.csr_matrix:
@@ -346,24 +338,17 @@ def assemble_trace_jump(t_space: DofSpace, w_space: DofSpace) -> sp.csr_matrix:
     mesh, k = t_space.mesh, t_space.k
     _check(t_space, TRACE, mesh, k)
     _check(w_space, GRADIENT, mesh, k)
-    nk, locW = w_space.nk, w_space.loc_dim
+    locW = w_space.loc_dim
     etab = edge_tables(mesh, k, std_degree(k))
-    buf = _Coo()
-    for e in mesh.dual_edges:
-        ts = mesh.edge_tri[e]
-        n = mesh.edge_normal[e]
-        that = mesh.edge_canon_tangent[e]
-        rbase = int(t_space.trace_edge_dofs(e)[0])
-        lw = etab.leg[e] * etab.w[e]
-        for s in (0, 1):
-            B = lw @ etab.trace[e, s].T
-            f = mesh.edge_sign[e, s]
-            for r in range(2):
-                for c in range(2):
-                    buf.put(
-                        rbase, ts[s] * locW + (2 * r + c) * nk, (f * that[r] * n[c]) * B
-                    )
-    return _compressed(t_space, w_space, buf)
+    e = mesh.dual_edges
+    rbase = t_space.trace_edge_dofs(e)[:, 0]
+    lw = etab.leg[e] * etab.w[e][:, None]
+    parts = []
+    for s in (0, 1):
+        B = np.matmul(lw, etab.trace[e, s].swapaxes(1, 2))
+        blocks = _kron(_trace_jump_coef(mesh, e, s)[:, None], B)
+        parts.append((rbase, mesh.edge_tri[e, s] * locW, blocks))
+    return _compressed(t_space, w_space, parts)
 
 
 def assemble_trace_jump_adjoint(w_space: DofSpace, t_space: DofSpace) -> sp.csr_matrix:
@@ -371,23 +356,16 @@ def assemble_trace_jump_adjoint(w_space: DofSpace, t_space: DofSpace) -> sp.csr_
     mesh, k = w_space.mesh, w_space.k
     _check(w_space, GRADIENT, mesh, k)
     _check(t_space, TRACE, mesh, k)
-    nk, locW = w_space.nk, w_space.loc_dim
+    locW = w_space.loc_dim
     etab = edge_tables(mesh, k, std_degree(k))
-    buf = _Coo()
-    for e in mesh.dual_edges:
-        ts = mesh.edge_tri[e]
-        n = mesh.edge_normal[e]
-        that = mesh.edge_canon_tangent[e]
-        cbase = int(t_space.trace_edge_dofs(e)[0])
-        for s in (0, 1):
-            B = (etab.trace[e, s] * etab.w[e]) @ etab.leg[e].T
-            f = mesh.edge_sign[e, s]
-            for r in range(2):
-                for c in range(2):
-                    buf.put(
-                        ts[s] * locW + (2 * r + c) * nk, cbase, (f * that[r] * n[c]) * B
-                    )
-    return _compressed(w_space, t_space, buf)
+    e = mesh.dual_edges
+    cbase = t_space.trace_edge_dofs(e)[:, 0]
+    parts = []
+    for s in (0, 1):
+        B = np.matmul(etab.trace[e, s] * etab.w[e][:, None], etab.leg[e].swapaxes(1, 2))
+        blocks = _kron(_trace_jump_coef(mesh, e, s)[:, :, None], B)
+        parts.append((mesh.edge_tri[e, s] * locW, cbase, blocks))
+    return _compressed(w_space, t_space, parts)
 
 
 def pressure_integral(p_space: DofSpace) -> np.ndarray:
@@ -439,11 +417,13 @@ def apply_divergence(p_space: DofSpace, vfn) -> np.ndarray:
     nt, nq = ttab.w.shape
     vvol = np.asarray(vfn(ttab.pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2)
     r = np.einsum("tnqd,tq,tqd->tn", ttab.grad, ttab.w, vvol)
-    for e in mesh.dual_edges:
-        ts = mesh.edge_tri[e]
-        vn = np.asarray(vfn(etab.pts[e]), dtype=float) @ mesh.edge_normal[e]
-        for s in (0, 1):
-            r[ts[s]] -= mesh.edge_sign[e, s] * (etab.trace[e, s] @ (etab.w[e] * vn))
+    e = mesh.dual_edges
+    vedge = np.asarray(vfn(etab.pts[e].reshape(-1, 2)), dtype=float)
+    vn = np.einsum("eqa,ea->eq", vedge.reshape(len(e), -1, 2), mesh.edge_normal[e])
+    wvn = etab.w[e] * vn
+    for s in (0, 1):
+        vec = np.matmul(etab.trace[e, s], wvn[:, :, None])[:, :, 0]
+        np.subtract.at(r, mesh.edge_tri[e, s], mesh.edge_sign[e, s][:, None] * vec)
     return p_space.E.T @ r.ravel()
 
 
@@ -457,13 +437,13 @@ def apply_divergence_adjoint(u_space: DofSpace, qfn) -> np.ndarray:
     nt, nq = ttab.w.shape
     qvol = np.asarray(qfn(ttab.pts.reshape(-1, 2)), dtype=float).reshape(nt, nq)
     r = -np.einsum("tnqa,tq,tq->tan", ttab.grad, ttab.w, qvol)
-    for e in mesh.primal_edges:
-        ts = mesh.edge_tri[e]
-        sides, _ = _edge_sides(mesh, e)
-        n = mesh.edge_normal[e]
-        qe = np.asarray(qfn(etab.pts[e]), dtype=float)
-        for s in sides:
-            vec = etab.trace[e, s] @ (etab.w[e] * qe)
-            for a in range(2):
-                r[ts[s], a] += mesh.edge_sign[e, s] * n[a] * vec
+    edges = mesh.primal_edges
+    qedge = np.asarray(qfn(etab.pts[edges].reshape(-1, 2)), dtype=float)
+    wq = etab.w[edges] * qedge.reshape(len(edges), -1)
+    for s in (0, 1):
+        present = mesh.edge_tri[edges, s] >= 0
+        e = edges[present]
+        vec = np.matmul(etab.trace[e, s], wq[present][:, :, None])[:, :, 0]
+        coef = mesh.edge_sign[e, s][:, None] * mesh.edge_normal[e]
+        np.add.at(r, mesh.edge_tri[e, s], coef[:, :, None] * vec[:, None])
     return u_space.E.T @ r.reshape(nt, -1).ravel()

@@ -4,6 +4,11 @@ Triangle rules are collapsed tensor-product Gauss rules (Duffy transform),
 which keeps every weight positive at any requested exactness. Bases are
 scaled monomials centered at the element centroid (triangles) and Legendre
 polynomials in the normalized arclength coordinate (edges).
+
+Every function works on a batch of elements at once: rules are affine
+images of one cached reference rule, and bases are evaluated for all
+elements in one pass. The single-element entry points (``eval_basis``,
+``triangle_quadrature``, ``edge_quadrature``) are batches of one.
 """
 
 from __future__ import annotations
@@ -57,70 +62,129 @@ def _gauss01(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def triangle_quadrature(exactness_degree: int, triangle: np.ndarray) -> QuadRule:
-    """Quadrature on a physical triangle, exact for degree <= exactness_degree.
+def triangle_rules(exactness_degree: int, triangles: np.ndarray):
+    """Collapsed Gauss rules on a batch of triangles, exact for degree <=
+    exactness_degree: affine images of one rule on the reference triangle.
 
-    Parameters
-    ----------
-    exactness_degree : int
-        Requested polynomial exactness, >= 0.
-    triangle : ndarray
-        Shape (3, 2). Vertex coordinates.
-
-    Raises
-    ------
-    ValueError
-        If the triangle is degenerate (zero area) or the degree is negative.
+    ``triangles`` has shape (n, 3, 2). Returns nodes (n, nq, 2) and
+    positive weights (n, nq) summing to each triangle's area. Raises
+    ValueError for a negative degree or a degenerate (zero-area) triangle.
     """
     if exactness_degree < 0:
         raise ValueError("exactness degree must be >= 0")
-    tri = np.asarray(triangle, dtype=float)
-    v0, v1, v2 = tri
-    jac = np.column_stack([v1 - v0, v2 - v0])
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    scale = max(np.abs(tri).max(), 1.0)
-    if abs(det) <= 1e-14 * scale * scale:
+    tri = np.asarray(triangles, dtype=float)
+    v0, e1, e2 = tri[:, 0], tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+    scale = np.maximum(np.abs(tri).max(axis=(1, 2)), 1.0)
+    if np.any(np.abs(det) <= 1e-14 * scale * scale):
         raise ValueError("degenerate (zero-area) triangle")
-    # The Duffy map x = a, y = b(1 - a) raises the degree in a by one.
+    # Reference rule on (0,0), (1,0), (0,1) by the Duffy map x = a,
+    # y = b(1 - a), which raises the degree in a by one.
     m = math.ceil((exactness_degree + 2) / 2)
-    ga, wa = _gauss01(m)
-    gb, wb = _gauss01(m)
-    a = np.repeat(ga, m)
-    b = np.tile(gb, m)
-    w = np.repeat(wa, m) * np.tile(wb, m) * (1.0 - a)
-    ref = np.column_stack([a, b * (1.0 - a)])
-    pts = v0 + ref @ jac.T
-    return QuadRule(pts, w * abs(det))
+    g, w = _gauss01(m)
+    a, b = np.repeat(g, m), np.tile(g, m)
+    w = np.repeat(w, m) * np.tile(w, m) * (1.0 - a)
+    x, y = a[:, None], (b * (1.0 - a))[:, None]
+    pts = v0[:, None] + (x * e1[:, None] + y * e2[:, None])
+    return pts, w * np.abs(det)[:, None]
 
 
-def edge_quadrature(exactness_degree: int, segment: np.ndarray) -> QuadRule:
-    """Gauss rule on a physical segment, exact for degree <= exactness_degree.
+def edge_rules(exactness_degree: int, segments: np.ndarray):
+    """One Gauss rule per segment, exact for degree <= exactness_degree.
 
-    Weights sum to the segment length; nodes are returned as 2D points on
-    the segment.
+    ``segments`` has shape (n, 2, 2). Returns nodes (n, nq, 2) on the
+    segments and weights (n, nq) summing to each segment's length.
     """
     if exactness_degree < 0:
         raise ValueError("exactness degree must be >= 0")
-    seg = np.asarray(segment, dtype=float)
-    p0, p1 = seg
-    length = float(np.hypot(*(p1 - p0)))
-    if length <= 1e-14 * max(np.abs(seg).max(), 1.0):
+    seg = np.asarray(segments, dtype=float)
+    p0, d = seg[:, 0], seg[:, 1] - seg[:, 0]
+    length = np.hypot(d[:, 0], d[:, 1])
+    if np.any(length <= 1e-14 * np.maximum(np.abs(seg).max(axis=(1, 2)), 1.0)):
         raise ValueError("degenerate (zero-length) segment")
     m = math.ceil((exactness_degree + 1) / 2)
     g, w = _gauss01(m)
-    pts = p0 + np.outer(g, p1 - p0)
-    return QuadRule(pts, w * length)
+    pts = p0[:, None] + g[:, None] * d[:, None]
+    return pts, w * length[:, None]
 
 
-def _triangle_frame(triangle: np.ndarray) -> tuple[np.ndarray, float]:
-    """Centroid and diameter (longest side) used to scale the basis."""
-    tri = np.asarray(triangle, dtype=float)
-    sides = np.linalg.norm(tri - np.roll(tri, 1, axis=0), axis=1)
-    return tri.mean(axis=0), float(sides.max())
+def triangle_quadrature(exactness_degree: int, triangle: np.ndarray) -> QuadRule:
+    """Quadrature on one physical triangle; see :func:`triangle_rules`."""
+    pts, w = triangle_rules(exactness_degree, np.asarray(triangle, dtype=float)[None])
+    return QuadRule(pts[0], w[0])
+
+
+def edge_quadrature(exactness_degree: int, segment: np.ndarray) -> QuadRule:
+    """Gauss rule on one physical segment, exact for degree <=
+    exactness_degree; weights sum to the segment length and nodes are
+    returned as 2D points on the segment."""
+    pts, w = edge_rules(exactness_degree, np.asarray(segment, dtype=float)[None])
+    return QuadRule(pts[0], w[0])
+
+
+def _powers(x: np.ndarray, k: int) -> np.ndarray:
+    """x^0 .. x^k by repeated multiplication, stacked on a new axis 1."""
+    out = np.empty((x.shape[0], k + 1) + x.shape[1:])
+    out[:, 0] = 1.0
+    for j in range(1, k + 1):
+        out[:, j] = out[:, j - 1] * x
+    return out
+
+
+def eval_triangle_basis(k: int, triangles: np.ndarray, points: np.ndarray):
+    """Scaled monomials of degree <= k on a batch of triangles, centered at
+    each triangle's centroid and scaled by its longest side.
+
+    ``triangles`` has shape (n, 3, 2) and ``points`` (n, nq, 2), row i
+    evaluated on triangle i. Returns values (n, dim, nq) and gradients
+    (n, dim, nq, 2).
+    """
+    tri = np.asarray(triangles, dtype=float)
+    pts = np.asarray(points, dtype=float)
+    center = tri.mean(axis=1)
+    diam = np.linalg.norm(tri - np.roll(tri, 1, axis=1), axis=2).max(axis=1)[:, None]
+    xp = _powers((pts[..., 0] - center[:, 0, None]) / diam, k)  # (n, k+1, nq)
+    yp = _powers((pts[..., 1] - center[:, 1, None]) / diam, k)
+    exps = monomial_exponents(k)
+    a, b = exps[:, 0], exps[:, 1]
+    values = xp[:, a] * yp[:, b]
+    grads = np.zeros(values.shape + (2,))
+    gx, gy = grads[..., 0], grads[..., 1]
+    diam = diam[:, :, None]
+    nz = a > 0
+    gx[:, nz] = (a[nz, None] / diam) * xp[:, a[nz] - 1] * yp[:, b[nz]]
+    nz = b > 0
+    gy[:, nz] = (b[nz, None] / diam) * xp[:, a[nz]] * yp[:, b[nz] - 1]
+    return values, grads
+
+
+def eval_edge_basis(k: int, segments: np.ndarray, points: np.ndarray):
+    """Legendre polynomials P_0..P_k on a batch of segments.
+
+    The coordinate runs from -1 at ``segments[i, 0]`` to 1 at
+    ``segments[i, 1]``. ``points`` has shape (n, nq, 2). Returns values
+    (n, k+1, nq) and their arclength derivatives (n, k+1, nq).
+    """
+    seg = np.asarray(segments, dtype=float)
+    pts = np.asarray(points, dtype=float)
+    p0, p1 = seg[:, 0], seg[:, 1]
+    d = p1 - p0
+    length = np.hypot(d[:, 0], d[:, 1])[:, None]
+    tang = d / length
+    rel = pts - (0.5 * (p0 + p1))[:, None]
+    along = rel[..., 0] * tang[:, 0, None] + rel[..., 1] * tang[:, 1, None]
+    xi = 2.0 * along / length
+    values = np.ascontiguousarray(np.moveaxis(legendre.legvander(xi, k), -1, 1))
+    grads = np.zeros_like(values)
+    for j in range(1, k + 1):
+        coeff = np.zeros(j + 1)
+        coeff[j] = 1.0
+        grads[:, j] = legendre.legval(xi, legendre.legder(coeff)) * (2.0 / length)
+    return values, grads
 
 
 def eval_basis(k: int, element: np.ndarray, points: np.ndarray):
-    """Evaluate the degree-k basis of a triangle or an edge at given points.
+    """Evaluate the degree-k basis of one triangle or one edge.
 
     Parameters
     ----------
@@ -140,49 +204,11 @@ def eval_basis(k: int, element: np.ndarray, points: np.ndarray):
         (derivative with respect to arclength along the segment).
     """
     el = np.asarray(element, dtype=float)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))[None]
     if el.shape == (3, 2):
-        return _eval_triangle_basis(k, el, pts)
-    if el.shape == (2, 2):
-        return _eval_edge_basis(k, el, pts)
-    raise ValueError(f"element must have shape (3, 2) or (2, 2), got {el.shape}")
-
-
-def _eval_triangle_basis(k: int, tri: np.ndarray, pts: np.ndarray):
-    center, diam = _triangle_frame(tri)
-    x = (pts[:, 0] - center[0]) / diam
-    y = (pts[:, 1] - center[1]) / diam
-    exps = monomial_exponents(k)
-    n = pts.shape[0]
-    # Positive powers only; 0^0 must evaluate to 1.
-    xp = np.vander(x, k + 1, increasing=True).T  # (k+1, n)
-    yp = np.vander(y, k + 1, increasing=True).T
-    values = xp[exps[:, 0]] * yp[exps[:, 1]]
-    grads = np.zeros((len(exps), n, 2))
-    a = exps[:, 0]
-    b = exps[:, 1]
-    nz = a > 0
-    grads[nz, :, 0] = (a[nz, None] / diam) * xp[a[nz] - 1] * yp[b[nz]]
-    nz = b > 0
-    grads[nz, :, 1] = (b[nz, None] / diam) * xp[a[nz]] * yp[b[nz] - 1]
-    return values, grads
-
-
-def _eval_edge_basis(k: int, seg: np.ndarray, pts: np.ndarray):
-    p0, p1 = seg
-    length = float(np.hypot(*(p1 - p0)))
-    tang = (p1 - p0) / length
-    mid = 0.5 * (p0 + p1)
-    xi = 2.0 * ((pts - mid) @ tang) / length
-    values = legendre.legvander(xi, k).T
-    grads = np.zeros_like(values)
-    for j in range(1, k + 1):
-        coeff = np.zeros(j + 1)
-        coeff[j] = 1.0
-        grads[j] = legendre.legval(xi, legendre.legder(coeff)) * (2.0 / length)
-    return values, grads
-
-
-def edge_legendre(k: int, seg: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Legendre values P_0..P_k on a segment, oriented from seg[0] to seg[1]."""
-    return _eval_edge_basis(k, np.asarray(seg, dtype=float), np.atleast_2d(pts))[0]
+        values, grads = eval_triangle_basis(k, el[None], pts)
+    elif el.shape == (2, 2):
+        values, grads = eval_edge_basis(k, el[None], pts)
+    else:
+        raise ValueError(f"element must have shape (3, 2) or (2, 2), got {el.shape}")
+    return values[0], grads[0]

@@ -17,22 +17,32 @@ moments make matching edge traces agree pointwise, which realizes exactly
 the staggered continuity of each space. Edge moments use the canonical
 edge frame (low vertex id towards high), never the jump normal, so the
 degrees of freedom do not depend on the jump orientation convention.
+
+Everything here is computed for all triangles or edges at once, with no
+Python loop per element: the quadrature tables are affine images of one
+reference rule with the basis evaluated in one batched pass (see
+``polybasis``), the numbering is array arithmetic on the mesh's edge
+tables, the local functional matrices of all triangles are stacked and
+inverted by one ``np.linalg.inv`` call, and interpolation evaluates the
+field once per edge class and once on all triangles.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DUAL, StaggeredMesh
+from .mesh import StaggeredMesh
 from .polybasis import (
-    edge_quadrature,
+    edge_rules,
     eval_basis,
+    eval_edge_basis,
+    eval_triangle_basis,
     tri_dim,
-    triangle_quadrature,
+    triangle_rules,
 )
 
 VELOCITY = "velocity"
@@ -102,19 +112,9 @@ def tri_tables(mesh: StaggeredMesh, k: int, exactness: int) -> TriTables:
 
 
 def _build_tri_tables(mesh: StaggeredMesh, k: int, exactness: int) -> TriTables:
-    nt = mesh.n_triangles
-    nk = tri_dim(k)
-    rule0 = triangle_quadrature(exactness, mesh.tri_coords(0))
-    nq = len(rule0.weights)
-    pts = np.empty((nt, nq, 2))
-    w = np.empty((nt, nq))
-    val = np.empty((nt, nk, nq))
-    grad = np.empty((nt, nk, nq, 2))
-    for t in range(nt):
-        coords = mesh.tri_coords(t)
-        rule = triangle_quadrature(exactness, coords)
-        pts[t], w[t] = rule.points, rule.weights
-        val[t], grad[t] = eval_basis(k, coords, rule.points)
+    coords = mesh.points[mesh.tri]
+    pts, w = triangle_rules(exactness, coords)
+    val, grad = eval_triangle_basis(k, coords, pts)
     return TriTables(pts, w, val, grad)
 
 
@@ -124,23 +124,14 @@ def edge_tables(mesh: StaggeredMesh, k: int, exactness: int) -> EdgeTables:
 
 
 def _build_edge_tables(mesh: StaggeredMesh, k: int, exactness: int) -> EdgeTables:
-    ne = mesh.n_edges
-    nk = tri_dim(k)
-    rule0 = edge_quadrature(exactness, mesh.edge_coords(0))
-    nq = len(rule0.weights)
-    pts = np.empty((ne, nq, 2))
-    w = np.empty((ne, nq))
-    trace = np.zeros((ne, 2, nk, nq))
-    leg = np.empty((ne, k + 1, nq))
-    for e in range(ne):
-        coords = mesh.edge_coords(e)
-        rule = edge_quadrature(exactness, coords)
-        pts[e], w[e] = rule.points, rule.weights
-        leg[e] = eval_basis(k, coords, rule.points)[0]
-        for s in range(2):
-            t = mesh.edge_tri[e, s]
-            if t >= 0:
-                trace[e, s] = eval_basis(k, mesh.tri_coords(t), rule.points)[0]
+    coords = mesh.points[mesh.edge_points]
+    pts, w = edge_rules(exactness, coords)
+    leg = eval_edge_basis(k, coords, pts)[0]
+    # Every present side (e, s) samples its triangle's basis on edge e.
+    e, s = np.nonzero(mesh.edge_tri >= 0)
+    t = mesh.edge_tri[e, s]
+    trace = np.zeros((len(coords), 2, tri_dim(k), pts.shape[1]))
+    trace[e, s] = eval_triangle_basis(k, mesh.points[mesh.tri[t]], pts[e])[0]
     return EdgeTables(pts, w, trace, leg)
 
 
@@ -182,148 +173,112 @@ class DofSpace:
             self.dof_map = np.empty((0, 0), dtype=int)
             self.local_E = np.empty((0, 0, 0))
             self.E = sp.identity(self.global_dim, format="csr")
-            self._dual_index = {int(e): i for i, e in enumerate(mesh.dual_edges)}
+            self._dual_pos = _positions(mesh.dual_edges, mesh.n_edges)
             return
         self.ncomp = _NCOMP[kind]
         self.loc_dim = self.ncomp * self.nk
         self.broken_dim = self.loc_dim * mesh.n_triangles
-        self._build()
+        self._number()
+        self._expand()
 
     # ----- global numbering ------------------------------------------------
 
-    def _build(self):
-        mesh, k, nk, nk1 = self.mesh, self.k, self.nk, self.nk1
+    def _number(self):
+        """Global numbering: shared edge moments first, then the private
+        per-triangle blocks. Each triangle's local functionals are runs of
+        consecutive global indices, given as (first index per triangle,
+        run length) and concatenated into ``dof_map``."""
+        mesh, k, nk1 = self.mesh, self.k, self.nk1
         nt = mesh.n_triangles
         kp1 = k + 1
+        tris = np.arange(nt)
         if self.kind == VELOCITY:
-            dual = mesh.dual_edges
-            self._dual_index = {int(e): i for i, e in enumerate(dual)}
-            edge_block = kp1 * len(dual)
+            first = _positions(mesh.dual_edges, mesh.n_edges)[mesh.tri_dual] * kp1
+            edge_block = kp1 * len(mesh.dual_edges)
             self.global_dim = edge_block + 2 * nk1 * nt
-            n_loc = 2 * kp1 + 2 * nk1
+            runs = [(first[:, 0], kp1), (first[:, 1], kp1)]
+            runs.append((edge_block + tris * 2 * nk1, 2 * nk1))
         elif self.kind == PRESSURE:
-            primal = mesh.primal_edges
-            self._primal_index = {int(e): i for i, e in enumerate(primal)}
-            edge_block = kp1 * len(primal)
+            first = _positions(mesh.primal_edges, mesh.n_edges)[mesh.tri_pedge] * kp1
+            edge_block = kp1 * len(mesh.primal_edges)
             self.global_dim = edge_block + nk1 * nt
-            n_loc = kp1 + nk1
+            runs = [(first, kp1), (edge_block + tris * nk1, nk1)]
         else:  # GRADIENT
-            primal = mesh.primal_edges
-            self._primal_index = {int(e): i for i, e in enumerate(primal)}
-            edge_block = 2 * kp1 * len(primal)
+            first = _positions(mesh.primal_edges, mesh.n_edges)[mesh.tri_pedge]
+            first *= 2 * kp1
+            edge_block = 2 * kp1 * len(mesh.primal_edges)
             tang_block = 2 * kp1 * nt
             self.global_dim = edge_block + tang_block + 4 * nk1 * nt
-            n_loc = 4 * kp1 + 4 * nk1
+            runs = [(first, 2 * kp1), (edge_block + tris * 2 * kp1, 2 * kp1)]
+            runs.append((edge_block + tang_block + tris * 4 * nk1, 4 * nk1))
         self._edge_block = edge_block
-        self.dof_map = np.empty((nt, n_loc), dtype=int)
-        for t in range(nt):
-            self.dof_map[t] = self._local_dofs(t)
-        self._assemble_expansion()
-
-    def _local_dofs(self, t: int) -> np.ndarray:
-        mesh, k, nk1 = self.mesh, self.k, self.nk1
-        kp1 = k + 1
-        ids: list[int] = []
-        if self.kind == VELOCITY:
-            for de in mesh.tri_dual[t]:
-                base = self._dual_index[int(de)] * kp1
-                ids.extend(range(base, base + kp1))
-            base = self._edge_block + t * 2 * nk1
-            ids.extend(range(base, base + 2 * nk1))
-        elif self.kind == PRESSURE:
-            base = self._primal_index[int(mesh.tri_pedge[t])] * kp1
-            ids.extend(range(base, base + kp1))
-            base = self._edge_block + t * nk1
-            ids.extend(range(base, base + nk1))
-        else:
-            base = self._primal_index[int(mesh.tri_pedge[t])] * 2 * kp1
-            ids.extend(range(base, base + 2 * kp1))
-            base = self._edge_block + t * 2 * kp1
-            ids.extend(range(base, base + 2 * kp1))
-            base = self._edge_block + 2 * kp1 * mesh.n_triangles + t * 4 * nk1
-            ids.extend(range(base, base + 4 * nk1))
-        return np.array(ids, dtype=int)
+        self.dof_map = np.concatenate(
+            [start[:, None] + np.arange(width) for start, width in runs], axis=1
+        )
 
     # ----- local functional matrices ---------------------------------------
 
-    def _edge_moments(self, etab: EdgeTables, e: int, side: int) -> np.ndarray:
-        """(k+1, nk) matrix of (1/h_e) edge moments of the basis trace."""
-        h = self.mesh.edge_length[e]
-        return (etab.leg[e] * (etab.w[e] / h)) @ etab.trace[e, side].T
-
-    def _interior_moments(self, ttab: TriTables, t: int, area: float) -> np.ndarray:
-        """(nk1, nk) matrix of (1/|tau|) moments against degree k-1 monomials."""
-        return (ttab.val[t, : self.nk1] * (ttab.w[t] / area)) @ ttab.val[t].T
-
-    def _functional_matrix(self, t, ttab, etab, areas) -> np.ndarray:
-        """V[i, j] = functional_i(basis_j) on triangle t; square and invertible."""
+    def _functional_matrices(self) -> np.ndarray:
+        """V[t, i, j] = functional_i(basis_j) on triangle t; each square and
+        invertible. Edge moments use the canonical edge frame and are taken
+        from the triangle's own side of the edge."""
         mesh, k, nk, nk1 = self.mesh, self.k, self.nk, self.nk1
         kp1 = k + 1
-        V = np.zeros((self.loc_dim, self.loc_dim))
+        nt = mesh.n_triangles
+        tris = np.arange(nt)
+        deg = std_degree(k)
+        ttab = tri_tables(mesh, k, deg)
+        etab = edge_tables(mesh, k, deg)
+
+        def edge_moments(e):
+            """(nt, k+1, nk) (1/h_e) moments of the basis traces on edges e."""
+            side = np.where(mesh.edge_tri[e, 0] == tris, 0, 1)
+            wob = etab.leg[e] * (etab.w[e] / mesh.edge_length[e][:, None])[:, None]
+            return np.matmul(wob, etab.trace[e, side].swapaxes(1, 2))
+
+        def kron2(coef, mom):
+            """Rows coef[t, c] * mom[t] side by side over components c."""
+            return (mom[:, :, None, :] * coef[:, None, :, None]).reshape(nt, -1, 2 * nk)
+
+        # (1/|tau|) moments against the degree k-1 monomials.
+        areas = mesh.tri_areas()
+        imom = np.matmul(
+            ttab.val[:, :nk1] * (ttab.w / areas[:, None])[:, None],
+            ttab.val.swapaxes(1, 2),
+        )
+        V = np.zeros((nt, self.loc_dim, self.loc_dim))
         if self.kind == VELOCITY:
-            row = 0
-            for de in mesh.tri_dual[t]:
-                side = 0 if mesh.edge_tri[de, 0] == t else 1
-                mom = self._edge_moments(etab, de, side)
-                n_hat = mesh.edge_canon_normal[de]
-                for c in range(2):
-                    V[row : row + kp1, c * nk : (c + 1) * nk] += n_hat[c] * mom
-                row += kp1
-            imom = self._interior_moments(ttab, t, areas[t])
-            for c in range(2):
-                V[row : row + nk1, c * nk : (c + 1) * nk] = imom
-                row += nk1
+            for i in range(2):
+                de = mesh.tri_dual[:, i]
+                V[:, i * kp1 : (i + 1) * kp1] = kron2(
+                    mesh.edge_canon_normal[de], edge_moments(de)
+                )
+            row = 2 * kp1
         elif self.kind == PRESSURE:
-            pe = mesh.tri_pedge[t]
-            side = 0 if mesh.edge_tri[pe, 0] == t else 1
-            V[:kp1, :] = self._edge_moments(etab, pe, side)
-            V[kp1:, :] = self._interior_moments(ttab, t, areas[t])
+            V[:, :kp1] = edge_moments(mesh.tri_pedge)
+            row = kp1
         else:
-            pe = mesh.tri_pedge[t]
-            side = 0 if mesh.edge_tri[pe, 0] == t else 1
-            mom = self._edge_moments(etab, pe, side)
-            n_hat = mesh.edge_canon_normal[pe]
-            t_hat = mesh.edge_canon_tangent[pe]
-            row = 0
-            for direction in (n_hat, t_hat):
+            pe = mesh.tri_pedge
+            mom = edge_moments(pe)
+            # Row r of the matrix field against the normal, then the tangent.
+            for d, direction in enumerate(
+                (mesh.edge_canon_normal[pe], mesh.edge_canon_tangent[pe])
+            ):
                 for r in range(2):
-                    for c in range(2):
-                        comp = 2 * r + c
-                        V[row : row + kp1, comp * nk : (comp + 1) * nk] += (
-                            direction[c] * mom
-                        )
-                    row += kp1
-            imom = self._interior_moments(ttab, t, areas[t])
-            for comp in range(4):
-                V[row : row + nk1, comp * nk : (comp + 1) * nk] = imom
-                row += nk1
+                    rows = slice((2 * d + r) * kp1, (2 * d + r + 1) * kp1)
+                    V[:, rows, 2 * r * nk : (2 * r + 2) * nk] = kron2(direction, mom)
+            row = 4 * kp1
+        for c in range(self.ncomp):
+            V[:, row + c * nk1 : row + (c + 1) * nk1, c * nk : (c + 1) * nk] = imom
         return V
 
-    def _assemble_expansion(self):
-        mesh = self.mesh
-        deg = std_degree(self.k)
-        ttab = tri_tables(mesh, self.k, deg)
-        etab = edge_tables(mesh, self.k, deg)
-        areas = mesh.tri_areas()
-        nt = mesh.n_triangles
+    def _expand(self):
+        self.local_E = np.linalg.inv(self._functional_matrices())
         n_loc = self.dof_map.shape[1]
-        rows = np.empty(nt * self.loc_dim * n_loc, dtype=int)
-        cols = np.empty_like(rows)
-        data = np.empty(rows.shape)
-        blk = self.loc_dim * n_loc
-        self.local_E = np.empty((nt, self.loc_dim, n_loc))
-        for t in range(nt):
-            V = self._functional_matrix(t, ttab, etab, areas)
-            Vinv = np.linalg.inv(V)
-            self.local_E[t] = Vinv
-            r = np.repeat(np.arange(self.loc_dim) + t * self.loc_dim, n_loc)
-            c = np.tile(self.dof_map[t], self.loc_dim)
-            rows[t * blk : (t + 1) * blk] = r
-            cols[t * blk : (t + 1) * blk] = c
-            data[t * blk : (t + 1) * blk] = Vinv.ravel()
-        self.E = sp.coo_matrix(
-            (data, (rows, cols)), shape=(self.broken_dim, self.global_dim)
-        ).tocsr()
+        rows = np.repeat(np.arange(self.broken_dim), n_loc)
+        cols = np.repeat(self.dof_map, self.loc_dim, axis=0).ravel()
+        shape = (self.broken_dim, self.global_dim)
+        self.E = sp.coo_matrix((self.local_E.ravel(), (rows, cols)), shape=shape).tocsr()
 
     # ----- field handling ---------------------------------------------------
 
@@ -334,10 +289,20 @@ class DofSpace:
         out = self.E @ np.asarray(coeffs, dtype=float)
         return out.reshape(self.mesh.n_triangles, self.ncomp, self.nk)
 
-    def trace_edge_dofs(self, e: int) -> np.ndarray:
-        """Global indices of the trace DOFs on dual edge e."""
-        base = self._dual_index[int(e)] * (self.k + 1)
-        return np.arange(base, base + self.k + 1)
+    def trace_edge_dofs(self, e) -> np.ndarray:
+        """Global indices of the trace DOFs on dual edge e; for an array of
+        edges, one row per edge."""
+        pos = np.asarray(self._dual_pos[e])
+        if np.any(pos < 0):
+            raise ValueError("trace DOFs live on dual edges only")
+        return (pos * (self.k + 1))[..., None] + np.arange(self.k + 1)
+
+
+def _positions(edges: np.ndarray, n_edges: int) -> np.ndarray:
+    """Position of each listed edge in the list; -1 for the other edges."""
+    pos = np.full(n_edges, -1)
+    pos[edges] = np.arange(len(edges))
+    return pos
 
 
 @dataclass(eq=False)
@@ -395,78 +360,47 @@ def interpolate(space: DofSpace, fieldfn, t: float | None = None) -> FieldCoeffi
         Time stamp stored on the result.
     """
     mesh, k = space.mesh, space.k
-    kp1 = k + 1
-    g = np.zeros(space.global_dim)
     etab = edge_tables(mesh, k, SMOOTH_DEGREE)
 
+    def on_edges(edges):
+        """Field values at the quadrature nodes of the given edges and the
+        (1/h_e) Legendre moment weights, shaped (n, k+1, nq)."""
+        pts = etab.pts[edges]
+        vals = _field_values(space, fieldfn, pts.reshape(-1, 2))
+        wh = etab.w[edges] / mesh.edge_length[edges][:, None]
+        return vals.reshape(pts.shape[:2] + vals.shape[1:]), etab.leg[edges] * wh[:, None]
+
     if space.kind == TRACE:
-        for i, e in enumerate(mesh.dual_edges):
-            vals = _field_values(space, fieldfn, etab.pts[e])
-            tang = vals @ mesh.edge_canon_tangent[e]
-            scale = (2 * np.arange(kp1) + 1) / mesh.edge_length[e]
-            g[i * kp1 : (i + 1) * kp1] = scale * ((etab.leg[e] * etab.w[e]) @ tang)
-        return FieldCoefficients(space, g, t)
+        dual = mesh.dual_edges
+        vals, wob = on_edges(dual)
+        tang = np.einsum("eqc,ec->eq", vals, mesh.edge_canon_tangent[dual])
+        scale = 2 * np.arange(k + 1) + 1
+        g = scale * np.matmul(wob, tang[:, :, None])[:, :, 0]
+        return FieldCoefficients(space, g.ravel(), t)
 
-    ttab = tri_tables(mesh, k, SMOOTH_DEGREE)
-    areas = mesh.tri_areas()
+    # Edge moments of the value (pressure) or of the normal component
+    # (velocity on dual edges; each row of the matrix field on primal edges).
+    edges = mesh.dual_edges if space.kind == VELOCITY else mesh.primal_edges
+    vals, wob = on_edges(edges)
+    normal = vals
+    if space.kind != PRESSURE:
+        normal = np.einsum("eq...c,ec->eq...", vals, mesh.edge_canon_normal[edges])
+    parts = [np.einsum("emq,eq...->e...m", wob, normal)]
+    if space.kind == GRADIENT:
+        # Tangential moments on each triangle's own primal edge; for a
+        # smooth field both sides agree, so the edge values are reused.
+        pos = _positions(edges, mesh.n_edges)[mesh.tri_pedge]
+        tang = np.einsum("eqrc,ec->eqr", vals, mesh.edge_canon_tangent[edges])
+        parts.append(np.einsum("emq,eqr->erm", wob, tang)[pos])
     nk1 = space.nk1
-
-    if space.kind == VELOCITY:
-        for i, e in enumerate(mesh.dual_edges):
-            vals = _field_values(space, fieldfn, etab.pts[e])
-            normal = vals @ mesh.edge_canon_normal[e]
-            g[i * kp1 : (i + 1) * kp1] = (
-                (etab.leg[e] * (etab.w[e] / mesh.edge_length[e])) @ normal
-            )
-        if nk1:
-            for tri in range(mesh.n_triangles):
-                vals = _field_values(space, fieldfn, ttab.pts[tri])
-                mom = (ttab.val[tri, :nk1] * (ttab.w[tri] / areas[tri])) @ vals
-                base = space._edge_block + tri * 2 * nk1
-                g[base : base + 2 * nk1] = mom.T.ravel()
-    elif space.kind == PRESSURE:
-        for i, e in enumerate(mesh.primal_edges):
-            vals = _field_values(space, fieldfn, etab.pts[e])
-            g[i * kp1 : (i + 1) * kp1] = (
-                (etab.leg[e] * (etab.w[e] / mesh.edge_length[e])) @ vals
-            )
-        if nk1:
-            for tri in range(mesh.n_triangles):
-                vals = _field_values(space, fieldfn, ttab.pts[tri])
-                base = space._edge_block + tri * nk1
-                g[base : base + nk1] = (
-                    ttab.val[tri, :nk1] * (ttab.w[tri] / areas[tri])
-                ) @ vals
-    else:  # GRADIENT
-        for i, e in enumerate(mesh.primal_edges):
-            vals = _field_values(space, fieldfn, etab.pts[e])
-            wob = etab.leg[e] * (etab.w[e] / mesh.edge_length[e])
-            gn = vals @ mesh.edge_canon_normal[e]
-            base = i * 2 * kp1
-            for r in range(2):
-                g[base + r * kp1 : base + (r + 1) * kp1] = wob @ gn[:, r]
-        tang_base = space._edge_block
-        for tri in range(mesh.n_triangles):
-            pe = mesh.tri_pedge[tri]
-            # Tangential moments are sampled on the triangle's own side of
-            # its primal edge; for a smooth field both sides agree.
-            vals = _field_values(space, fieldfn, etab.pts[pe])
-            wob = etab.leg[pe] * (etab.w[pe] / mesh.edge_length[pe])
-            gt = vals @ mesh.edge_canon_tangent[pe]
-            base = tang_base + tri * 2 * kp1
-            for r in range(2):
-                g[base + r * kp1 : base + (r + 1) * kp1] = wob @ gt[:, r]
-        if nk1:
-            ibase = tang_base + 2 * kp1 * mesh.n_triangles
-            for tri in range(mesh.n_triangles):
-                vals = _field_values(space, fieldfn, ttab.pts[tri])
-                mom = np.einsum(
-                    "mq,qrc->rcm",
-                    ttab.val[tri, :nk1] * (ttab.w[tri] / areas[tri]),
-                    vals,
-                )
-                base = ibase + tri * 4 * nk1
-                g[base : base + 4 * nk1] = mom.ravel()
+    if nk1:
+        ttab = tri_tables(mesh, k, SMOOTH_DEGREE)
+        nt, nq = ttab.w.shape
+        tvals = _field_values(space, fieldfn, ttab.pts.reshape(-1, 2))
+        tvals = tvals.reshape((nt, nq) + tvals.shape[1:])
+        wob = ttab.val[:, :nk1] * (ttab.w / mesh.tri_areas()[:, None])[:, None]
+        parts.append(np.einsum("tmq,tq...->t...m", wob, tvals))
+    g = np.concatenate([part.ravel() for part in parts])
     return FieldCoefficients(space, g, t)
 
 

@@ -294,6 +294,8 @@ def test_trace_space_roundtrip():
     np.testing.assert_allclose(got, expected, atol=1e-12)
     # the trace field never has a normal component
     np.testing.assert_allclose(got @ mesh.edge_normal[e], 0.0, atol=1e-13)
+    with pytest.raises(ValueError, match="dual edges"):
+        evaluate_trace(fc, int(mesh.primal_edges[0]), pts)
 
 
 def test_coefficient_length_validation():
