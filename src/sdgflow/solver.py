@@ -1,14 +1,15 @@
 """Implicit time stepping for the staggered flow discretization.
 
 Each step solves the saddle system coupling the velocity, its scaled
-gradient, the dual-edge tangential trace, the pressure and one scalar
-multiplier that pins the pressure mean. The quadratic drag makes the
-system nonlinear; it is solved by Newton's method on the consistent drag
-Jacobian ``J(u)`` (see forms.DragMassAssembler), one linear solve per
-sweep, until the velocity increment falls below the tolerance. With no
-drag the step is a single linear solve. A vanishing diffusion
-coefficient removes the gradient and trace variables from the system
-entirely, which keeps the matrix nonsingular in the Darcy limit.
+gradient, the dual-edge tangential trace and the pressure, which the
+scheme fixes only up to a constant and which is reported with zero mean.
+The quadratic drag makes the system nonlinear; it is solved by Newton's
+method on the consistent drag Jacobian ``J(u)`` (see
+forms.DragMassAssembler), one linear solve per sweep, until the velocity
+increment falls below the tolerance. With no drag the step is a single
+linear solve. A vanishing diffusion coefficient removes the gradient and
+trace variables from the system entirely, which keeps the matrix
+nonsingular in the Darcy limit.
 
 A sweep changes only the velocity-velocity block of the step matrix, so
 the matrix lives on one sparsity pattern for the whole run (see
@@ -17,16 +18,16 @@ velocity block is rewritten only when the time-derivative weight
 changes, and each sweep writes the Jacobian values into the pattern in
 place through a fixed index map.
 
-The bordered multiplier system is never factored directly: its dense
-coupling row defeats the fill-reducing ordering and triples the factor
-size. Instead one pressure coefficient is pinned, which makes the core
-nonsingular, and the multiplier and lost constant-pressure component are
-recovered exactly from the one-dimensional consistency and constraint
-relations; see _BorderedSolver. Factorizations are reused across sweeps
-and steps through iterative refinement, since the Jacobian drifts slowly
-between them, and are rebuilt only when refinement stops contracting.
-Refinement starts from the previous solution, so a sweep whose answer
-barely moved needs only one or two triangular solves.
+Constant pressures span the nullspace of the step matrix on both sides,
+and the mass equations, whose right-hand side is zero, stay consistent.
+So the pressure needs a normalisation, not a Lagrange multiplier: one
+pressure coefficient is pinned, which makes the matrix nonsingular, and
+every solve is shifted by a constant pressure to zero mean; see
+_PinnedSolver. Factorizations are reused across sweeps and steps through
+iterative refinement, since the Jacobian drifts slowly between them, and
+are rebuilt only when refinement stops contracting. Refinement starts
+from the previous solution, so a sweep whose answer barely moved needs
+only one or two triangular solves.
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ class Operators:
     """Spaces and the time-independent matrices on one mesh.
 
     ``mp`` integrates a pressure field over the domain; ``p_const`` holds
-    the coefficients of the constant pressure one, the nullspace of the
-    unpinned step matrix.
+    the coefficients of the constant pressure one. ``GU @ p_const`` and
+    ``DP.T @ p_const`` vanish, so ``p_const`` spans the nullspace of the
+    step matrix through both its pressure columns and its mass rows.
     """
 
     mesh: StaggeredMesh
@@ -193,7 +195,12 @@ def write_step_log(path, reports) -> None:
 
 @dataclass(eq=False)
 class TransientResult:
-    """Final fields of a transient run plus per-step diagnostics."""
+    """Final fields of a transient run plus per-step diagnostics.
+
+    ``p`` has zero mean. ``mu`` is identically 0.0: the pressure is
+    normalised without a multiplier, and the field stays for API
+    compatibility.
+    """
 
     ops: Operators
     params: ModelParams
@@ -216,14 +223,28 @@ def _ones(B: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(B.nnz), B.indices, B.indptr), shape=B.shape)
 
 
-class _StepMatrix:
-    """The step matrix without the multiplier border, on one pattern.
+def _layout(ops: Operators, se: float) -> list:
+    """Slices of the step unknowns [w, u, uhat, p] in the step vector.
 
-    Columns are ordered [gradient, velocity, trace, pressure] (reduced to
-    [velocity, pressure] in the Darcy limit); rows carry the gradient,
-    momentum, mass and trace-jump equations in that order. Constant
-    pressures span the nullspace on both sides. The velocity-velocity
-    block is ``m MU + beta J`` with ``m = sigma/dt + alpha`` and the drag
+    They index the step matrix's equations [gradient, momentum,
+    trace-jump, mass] as well. In the Darcy limit (``se == 0``) the
+    gradient and trace slices are empty. The last stop is the system
+    size.
+    """
+    w, u, t, p = (s.global_dim for s in (ops.gradient, ops.velocity, ops.trace, ops.pressure))
+    ends = np.cumsum([0, w, u, t, p] if se > 0.0 else [0, 0, u, 0, p]).tolist()
+    return [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+
+
+class _StepMatrix:
+    """The step matrix on one pattern.
+
+    Rows and columns share the slices of _layout: columns are ordered
+    [gradient, velocity, trace, pressure] and rows carry the gradient,
+    momentum, trace-jump and mass equations in the same order (reduced to
+    [velocity, pressure] in the Darcy limit). Constant pressures span the
+    nullspace on both sides. The velocity-velocity block is
+    ``m MU + beta J`` with ``m = sigma/dt + alpha`` and the drag
     Jacobian ``J``; every other block is fixed for the run.
 
     The pattern is the union of the block patterns, including that of
@@ -236,33 +257,31 @@ class _StepMatrix:
     """
 
     def __init__(self, ops: Operators, se: float, drag: sp.csr_matrix | None = None):
-        dim_u = ops.velocity.global_dim
+        sl_u = _layout(ops, se)[1]
         # The velocity block enters with the union of the MU and drag
         # patterns; every entry is an MU or drag slot, which update writes.
         uu = _ones(ops.MU) if drag is None else _ones(ops.MU) + _ones(drag)
         if se == 0.0:
-            ou = 0
             blocks = [
                 [uu, ops.GU],
                 [-ops.DP, None],
             ]
         else:
-            ou = ops.gradient.global_dim
             blocks = [
                 [ops.MW, -se * ops.BW, -se * ops.TW, None],
                 [se * ops.BU, uu, None, ops.GU],
-                [None, -ops.DP, None, None],
                 [ops.TH, None, None, None],
+                [None, -ops.DP, None, None],
             ]
         A = sp.bmat(blocks, format="csr")
         A.sum_duplicates()
         self.A = A
         # Slot of every MU and drag entry in A.data, found among the keys
         # row * n + column of the momentum rows, which canonical CSR sorts.
-        n = A.shape[0]
+        n, ou, hi = A.shape[0], sl_u.start, sl_u.stop
         lo = A.indptr[ou]
-        rows = np.repeat(np.arange(ou, ou + dim_u), np.diff(A.indptr[ou : ou + dim_u + 1]))
-        keys = rows.astype(np.int64) * n + A.indices[lo : A.indptr[ou + dim_u]]
+        rows = np.repeat(np.arange(ou, hi), np.diff(A.indptr[ou : hi + 1]))
+        keys = rows.astype(np.int64) * n + A.indices[lo : A.indptr[hi]]
 
         def slots(B):
             C = B.tocoo()
@@ -292,19 +311,17 @@ class _StepMatrix:
         return float(np.add.reduceat(np.abs(self.A.data), self.A.indptr[:-1]).max())
 
 
-class _BorderedSolver:
-    """Solves [[A, c], [r^T, 0]] [x; mu] = [b; g] through a pinned core.
+class _PinnedSolver:
+    """Solves A x = b for the singular step matrix with zero-mean pressure.
 
-    A is the singular step core: constant pressures span its nullspace
-    through both the pressure columns and the mass-equation rows, and the
-    borders c (column, mass-equation rows) and r (row, pressure columns)
-    both carry the pressure integral weights. Factoring the bordered
-    matrix directly is slow because the dense border defeats the
-    fill-reducing ordering, so the solve pins the pressure coefficient
-    with the largest constant-pressure entry instead and recovers the
-    multiplier and the lost nullspace component from the two scalar
-    relations mu = <c1, b_mass> / <mp, c1> (consistency of the mass rows)
-    and <mp, x_p> = g (the mean constraint).
+    Constant pressures ``c1 = p_const`` span A's nullspace through both
+    the pressure columns and the mass-equation rows. The mass rows of
+    every right-hand side are zero, so A x = b is consistent and fixes x
+    up to a constant pressure. The solve replaces the mass row of the
+    pressure coefficient with the largest constant-pressure entry by a
+    unit pin on that coefficient, which makes the matrix nonsingular: the
+    dropped row is the ``c1``-weighted sum of the others. Each correction
+    is then shifted by a multiple of ``c1`` to zero mean ``<mp, x_p>``.
 
     The factorization is reused across nearby systems, since the drag
     Jacobian drifts slowly between sweeps and steps: ``solve`` refines
@@ -313,37 +330,24 @@ class _BorderedSolver:
     previous sweep's solution, so it only has to remove the residual of
     that guess; a guess that already meets the tolerance costs no
     triangular solve. Residuals are always measured against the exact
-    bordered system of the current matrix. ``factor_count`` and
+    system ``b - A x`` of the current matrix. ``factor_count`` and
     ``refine_count`` count factorizations and refinement passes (one
     triangular solve each).
 
     Every ``A`` passed in must share one sparsity pattern (that of
-    _StepMatrix). The pinned matrix is A's pattern with row ``rp``
-    replaced by the single pin entry ``(rp, cp)``, held in CSC form
-    together with the slot of A.data each stored entry copies; both are
-    built at the first factorization, and every factorization after it
-    only copies values.
+    _StepMatrix). The pinned matrix is A's pattern with row ``pin``
+    replaced by the single diagonal entry ``(pin, pin)``, held in CSC
+    form together with the slot of A.data each stored entry copies; both
+    are built at the first factorization, and every factorization after
+    it only copies values.
     """
 
     def __init__(self, ops: Operators, se: float):
-        dim_w, dim_u = ops.gradient.global_dim, ops.velocity.global_dim
-        dim_p, dim_t = ops.pressure.global_dim, ops.trace.global_dim
-        if se == 0.0:
-            n = dim_u + dim_p
-            self.rows_p = slice(dim_u, dim_u + dim_p)
-            self.cols_p = slice(dim_u, dim_u + dim_p)
-        else:
-            n = dim_w + dim_u + dim_t + dim_p
-            off = dim_w + dim_u
-            self.rows_p = slice(off, off + dim_p)
-            self.cols_p = slice(off + dim_t, off + dim_t + dim_p)
-        self.n = n
+        self.sl_p = _layout(ops, se)[3]
         self.mp = ops.mp
         self.c1 = ops.p_const
         self.omega = float(self.mp @ self.c1)
-        pin = int(np.argmax(np.abs(self.c1)))
-        self._rp = self.rows_p.start + pin
-        self._cp = self.cols_p.start + pin
+        self._pin = self.sl_p.start + int(np.argmax(np.abs(self.c1)))
         self._pinned = None
         self.lu = None
         self.factor_count = 0
@@ -354,10 +358,10 @@ class _BorderedSolver:
         self.lu = None
 
     def _pin_pattern(self, A: sp.csr_matrix):
-        lo, hi = A.indptr[self._rp], A.indptr[self._rp + 1]
+        lo, hi = A.indptr[self._pin], A.indptr[self._pin + 1]
         indptr = A.indptr.copy()
-        indptr[self._rp + 1 :] -= hi - lo - 1
-        indices = np.r_[A.indices[:lo], self._cp, A.indices[hi:]].astype(A.indices.dtype)
+        indptr[self._pin + 1 :] -= hi - lo - 1
+        indices = np.r_[A.indices[:lo], self._pin, A.indices[hi:]].astype(A.indices.dtype)
         # The conversion to CSC carries the A.data slot of every entry
         # along; slot nnz marks the pin.
         slots = np.r_[0:lo, A.nnz, hi : A.nnz].astype(np.intc)
@@ -378,28 +382,11 @@ class _BorderedSolver:
             raise SolverError(f"factorization failed: {exc}") from exc
         self.factor_count += 1
 
-    def _apply(self, d: np.ndarray, g: float):
-        """One approximate bordered solve with the held factor."""
-        mu = float(self.c1 @ d[self.rows_p]) / self.omega
-        dd = d.copy()
-        dd[self.rows_p] -= mu * self.mp
-        dd[self._rp] = 0.0
-        y = self.lu.solve(dd)
-        tau = (g - float(self.mp @ y[self.cols_p])) / self.omega
-        y[self.cols_p] += tau * self.c1
-        return y, mu
+    def solve(self, A, a_norm, b, x0):
+        """Returns x and the relative residual of A x = b.
 
-    def _residual(self, A, b, g, x, mu):
-        r = b - A @ x
-        r[self.rows_p] -= mu * self.mp
-        rg = g - float(self.mp @ x[self.cols_p])
-        return r, rg, float(np.hypot(np.linalg.norm(r), rg))
-
-    def solve(self, A, a_norm, b, x0=None, mu0=0.0, g=0.0):
-        """Returns x, mu and the relative bordered-system residual.
-
-        ``a_norm`` is the largest absolute row sum of ``A``; ``x0`` and
-        ``mu0`` are the starting guess (zero when ``x0`` is omitted).
+        ``a_norm`` is the largest absolute row sum of ``A``; ``x0`` is the
+        starting guess, whose pressure must have zero mean.
         """
         if self.lu is None:
             self._refactor(A)
@@ -407,21 +394,24 @@ class _BorderedSolver:
         else:
             fresh = False
         anorm = a_norm + float(np.abs(self.mp).sum())
-        bnorm = float(np.hypot(np.linalg.norm(b), g))
-        x = np.zeros(self.n) if x0 is None else np.array(x0, dtype=float)
-        mu = mu0
-        r, rg, rn = self._residual(A, b, g, x, mu)
-        scale = bnorm + anorm * np.linalg.norm(x) + 1e-300
+        bnorm = float(np.linalg.norm(b))
+        x = np.array(x0, dtype=float)
+
+        def residual():
+            r = b - A @ x
+            return r, float(np.linalg.norm(r)), bnorm + anorm * np.linalg.norm(x) + 1e-300
+
+        r, rn, scale = residual()
         rn_prev = np.inf
         for _ in range(12):
             if rn <= 1e-13 * scale:
                 break
-            dx, dmu = self._apply(r, rg)
+            r[self._pin] = 0.0
+            dx = self.lu.solve(r)
             self.refine_count += 1
+            dx[self.sl_p] -= float(self.mp @ dx[self.sl_p]) / self.omega * self.c1
             x += dx
-            mu += dmu
-            r, rg, rn = self._residual(A, b, g, x, mu)
-            scale = bnorm + anorm * np.linalg.norm(x) + 1e-300
+            r, rn, scale = residual()
             if rn <= 1e-13 * scale:
                 break
             if not fresh and rn > 0.125 * rn_prev:
@@ -433,7 +423,7 @@ class _BorderedSolver:
         resid = rn / scale
         if resid > 1e-10:
             raise SolverError(f"linear solve stalled at relative residual {resid:.2e}")
-        return x, mu, resid
+        return x, resid
 
 
 def run_transient(
@@ -466,7 +456,8 @@ def run_transient(
     Returns
     -------
     TransientResult
-        Final fields, the pressure-mean multiplier and step diagnostics.
+        Final fields (the pressure with zero mean), ``mu = 0.0`` and
+        the step diagnostics.
     """
     if scheme not in (BACKWARD_EULER, BDF2):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -474,32 +465,16 @@ def run_transient(
         raise ValueError("need dt > 0 and at least one step")
     U, W, P, T = ops.velocity, ops.gradient, ops.pressure, ops.trace
     se = float(np.sqrt(params.epsilon))
-    dim_u, dim_w, dim_p, dim_t = (
-        U.global_dim,
-        W.global_dim,
-        P.global_dim,
-        T.global_dim,
-    )
-    if se == 0.0:
-        sl_u = slice(0, dim_u)
-        sl_p = slice(dim_u, dim_u + dim_p)
-        n_total = dim_u + dim_p
-        sl_w = sl_t = slice(0, 0)
-    else:
-        sl_w = slice(0, dim_w)
-        sl_u = slice(dim_w, dim_w + dim_u)
-        sl_t = slice(dim_w + dim_u, dim_w + dim_u + dim_t)
-        sl_p = slice(dim_w + dim_u + dim_t, dim_w + dim_u + dim_t + dim_p)
-        n_total = dim_w + dim_u + dim_t + dim_p
+    sl_w, sl_u, sl_t, sl_p = _layout(ops, se)
+    dim_u = U.global_dim
 
     u_prev = np.zeros(dim_u) if u0 is None else np.asarray(u0.values, dtype=float)
     if u_prev.shape != (dim_u,):
         raise ValueError("initial velocity does not match the velocity space")
     u_prev2 = None
-    x = np.zeros(n_total)
-    mu_val = 0.0
+    x = np.zeros(sl_p.stop)
     reports: list[StepReport] = []
-    stepper = _BorderedSolver(ops, se)
+    stepper = _PinnedSolver(ops, se)
     drag_mass = DragMassAssembler(U) if params.beta != 0.0 else None
     matrix = None
 
@@ -514,7 +489,7 @@ def run_transient(
             sigma = 1.0
             hist = ops.MU @ (u_prev / dt)
         rhs_u = hist if f is None else hist + assemble_load(U, f, t=t_new)
-        b = np.zeros(n_total)
+        b = np.zeros(sl_p.stop)
         b[sl_u] = rhs_u
 
         m = sigma / dt + params.alpha
@@ -537,7 +512,7 @@ def run_transient(
             if matrix is None:
                 matrix = _StepMatrix(ops, se, jac)
             A = matrix.update(m, params.beta, jac)
-            x, mu_val, resid = stepper.solve(A, matrix.norm_inf(), b_it, x, mu_val)
+            x, resid = stepper.solve(A, matrix.norm_inf(), b_it, x)
             worst_resid = max(worst_resid, resid)
             u_new = x[sl_u]
             diff = u_new - u_guess
@@ -569,8 +544,8 @@ def run_transient(
         )
 
     t_final = n_steps * dt
-    zero_w = np.zeros(dim_w)
-    zero_t = np.zeros(dim_t)
+    zero_w = np.zeros(W.global_dim)
+    zero_t = np.zeros(T.global_dim)
     return TransientResult(
         ops=ops,
         params=params,
@@ -580,6 +555,6 @@ def run_transient(
         L=FieldCoefficients(W, x[sl_w] if se > 0.0 else zero_w, t=t_final),
         uhat=FieldCoefficients(T, x[sl_t] if se > 0.0 else zero_t, t=t_final),
         p=FieldCoefficients(P, x[sl_p], t=t_final),
-        mu=mu_val,
+        mu=0.0,
         reports=reports,
     )

@@ -23,12 +23,6 @@ CRITERIA = {
 _outcomes = {}
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "criterion(n): test verifies acceptance criterion n"
-    )
-
-
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

@@ -3,7 +3,9 @@
 Tables, numbering, expansion matrices, the eight operators of
 ``build_operators`` and interpolation must match the loop versions kept
 in ``_oracles``; the number of Python calls made while building the
-operators must not grow with the mesh.
+operators must not grow with the mesh. The constant pressure must span
+the nullspaces of both pressure couplings, which the step solver's
+pressure normalisation relies on.
 """
 
 import io
@@ -146,6 +148,22 @@ def test_batched_setup_matches_loop_reference(mesh_name, k):
         fn = smooth_field(kind)
         a = interpolate(got[kind], fn).values
         assert rel(a, ref.loop_interpolate(want[kind], fn)) <= 1e-14, kind
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_constant_pressure_spans_both_nullspaces(mesh_name, k):
+    # The pressure gradient of a constant vanishes, and the constant
+    # weights the divergence rows to zero: the step matrix is singular on
+    # both sides through p_const alone, so pinning one pressure
+    # coefficient and shifting to zero mean solves it without a
+    # multiplier.
+    ops = build_operators(MESHES[mesh_name](), k)
+    c1 = ops.p_const
+    for name, image in (("DP", ops.DP.T @ c1), ("GU", ops.GU @ c1)):
+        bound = 1e-14 * sp.linalg.norm(getattr(ops, name)) * np.linalg.norm(c1)
+        assert np.linalg.norm(image) <= bound, name
+    assert ops.mp @ c1 > 0.0
 
 
 def _python_calls(n):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from sdgflow import spaces
 from sdgflow.mesh import PrimalMesh, build_rectangle_mesh, build_staggered
@@ -89,6 +91,46 @@ def test_step_satisfies_block_equations():
     rhs = assemble_load(ops.velocity, forcing, t=dt)
     r_u = se * (ops.BU @ L) + Au @ u + ops.GU @ p - rhs
     np.testing.assert_allclose(r_u, 0.0, atol=1e-6 * max(1.0, np.abs(rhs).max()))
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.0])
+def test_drag_free_step_matches_direct_bordered_solve(eps):
+    # One step of the full bordered system [[A, c], [r^T, 0]], with the
+    # pressure-mean multiplier mu and both borders carrying the pressure
+    # integral, factored directly: the pinned solve with a mean shift must
+    # give its fields, and its multiplier must vanish.
+    from sdgflow.forms import assemble_load
+
+    ops = operators(2)
+    params = ModelParams(eps, 1.0, 0.0)
+    dt = 0.05
+    res = run_transient(ops, params, forcing, dt=dt, n_steps=1)
+    se = np.sqrt(eps)
+    Au = (1.0 / dt + params.alpha) * ops.MU
+    c = sp.csr_matrix(ops.mp[:, None])
+    if se > 0.0:
+        names = ("L", "u", "uhat", "p")
+        blocks = [
+            [ops.MW, -se * ops.BW, -se * ops.TW, None, None],
+            [se * ops.BU, Au, None, ops.GU, None],
+            [None, -ops.DP, None, None, c],
+            [ops.TH, None, None, None, None],
+            [None, None, None, c.T, None],
+        ]
+    else:
+        names = ("u", "p")
+        blocks = [[Au, ops.GU, None], [-ops.DP, None, c], [None, c.T, None]]
+    fields = [getattr(res, name).values for name in names]
+    ends = np.cumsum([0] + [len(v) for v in fields])
+    b = np.zeros(ends[-1] + 1)
+    iu = names.index("u")
+    b[ends[iu] : ends[iu + 1]] = assemble_load(ops.velocity, forcing, t=dt)
+    x = spsolve(sp.bmat(blocks, format="csc"), b)
+    for name, got, lo, hi in zip(names, fields, ends[:-1], ends[1:]):
+        want = x[lo:hi]
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), name
+    assert abs(x[-1]) <= 1e-12
+    assert res.mu == 0.0
 
 
 @pytest.mark.parametrize("beta, max_sweeps", [(50.0, 3), (1e3, 4)])
