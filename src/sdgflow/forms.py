@@ -17,6 +17,14 @@ dense local blocks of all those edges at once. The blocks are scattered
 in broken indexing as one COO matrix and then compressed; there is no
 Python loop per element or edge.
 
+Compression cancels some entries only up to roundoff, for example where
+the contributions of two sides of an edge meet. Every compressed
+operator drops the entries at most ``DROP_TOL`` times the largest
+magnitude in their row or column (see :func:`drop_small`), so its
+pattern does not depend on the summation order: an operator and its
+independently assembled adjoint share one pattern, and the step
+system's LU carries no fill from residues.
+
 Convention: the first space argument is the test (row) space, the second
 the trial (column) space.
 """
@@ -42,10 +50,31 @@ from .spaces import (
 )
 
 
+DROP_TOL = 1e-12
+
+
+def drop_small(A: sp.spmatrix) -> sp.csr_matrix:
+    """Canonical CSR copy of ``A`` without the entries ``a_ij`` with
+    ``|a_ij| <= DROP_TOL * max(row max_i, column max_j)``, the maxima
+    taken over the magnitudes of ``A``."""
+    A = sp.csr_matrix(A, copy=True)
+    A.sum_duplicates()
+    mag = np.abs(A.data)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    row_max = np.zeros(A.shape[0])
+    np.maximum.at(row_max, rows, mag)
+    col_max = np.zeros(A.shape[1])
+    np.maximum.at(col_max, A.indices, mag)
+    A.data[mag <= DROP_TOL * np.maximum(row_max[rows], col_max[A.indices])] = 0.0
+    A.eliminate_zeros()
+    return A
+
+
 def _compressed(test: DofSpace, trial: DofSpace, parts) -> sp.csr_matrix:
     """``E_test^T A E_trial`` for the broken matrix ``A`` given as dense
     blocks: each part is (row offsets (n,), column offsets (n,), blocks
-    (n, nr, nc)) in broken indexing; overlapping blocks add up."""
+    (n, nr, nc)) in broken indexing; overlapping blocks add up. Roundoff
+    residues are dropped."""
     rows, cols, vals = [], [], []
     for r0, c0, blocks in parts:
         _, nr, nc = blocks.shape
@@ -58,7 +87,7 @@ def _compressed(test: DofSpace, trial: DofSpace, parts) -> sp.csr_matrix:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(test.broken_dim, trial.broken_dim),
     ).tocsr()
-    return (test.E.T @ broken @ trial.E).tocsr()
+    return drop_small(test.E.T @ broken @ trial.E)
 
 
 def _kron(coef: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -143,7 +172,7 @@ def assemble_mass(space: DofSpace, weight=None) -> sp.csr_matrix:
         (data, np.arange(nt), np.arange(nt + 1)),
         shape=(space.broken_dim, space.broken_dim),
     )
-    return (space.E.T @ (broken @ space.E)).tocsr()
+    return drop_small(space.E.T @ (broken @ space.E))
 
 
 class DragMassAssembler:

@@ -1,10 +1,15 @@
 """Implicit time stepping for the staggered flow discretization.
 
 Each step solves the saddle system coupling the velocity, its scaled
-gradient, the dual-edge tangential trace and the pressure, which the
-scheme fixes only up to a constant and which is reported with zero mean.
-The quadratic drag makes the system nonlinear; it is solved by Newton's
-method on the consistent drag Jacobian ``J(u)`` (see
+gradient ``L = sqrt(eps) grad u``, the dual-edge tangential trace and the
+pressure, which the scheme fixes only up to a constant and which is
+reported with zero mean. The gradient lives in a broken space whose mass
+matrix ``MW`` is block diagonal, so the gradient equation ``MW L =
+sqrt(eps) (BU^T u + TH^T uhat)`` is solved for ``L`` block by block and
+``L`` is eliminated (static condensation): the linear solves run on the
+velocity, trace and pressure alone, and ``L`` is recovered from the
+solution. The quadratic drag makes the system nonlinear; it is solved by
+Newton's method on the consistent drag Jacobian ``J(u)`` (see
 forms.DragMassAssembler), one linear solve per sweep, until the velocity
 increment falls below the tolerance. With no drag the step is a single
 linear solve. A vanishing diffusion coefficient removes the gradient and
@@ -13,10 +18,10 @@ nonsingular in the Darcy limit.
 
 A sweep changes only the velocity-velocity block of the step matrix, so
 the matrix lives on one sparsity pattern for the whole run (see
-_StepMatrix): the fixed blocks are assembled once, the mass part of the
-velocity block is rewritten only when the time-derivative weight
-changes, and each sweep writes the Jacobian values into the pattern in
-place through a fixed index map.
+_StepMatrix): the fixed blocks are assembled once, the mass and
+condensed-gradient part of the velocity block is rewritten only when the
+time-derivative weight changes, and each sweep writes the Jacobian
+values into the pattern in place through a fixed index map.
 
 Constant pressures span the nullspace of the step matrix on both sides,
 and the mass equations, whose right-hand side is zero, stay consistent.
@@ -33,10 +38,12 @@ only one or two triangular solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .forms import (
@@ -103,14 +110,60 @@ class PicardConfig:
     max_iter: int = 50
 
 
+def _block_inverse(M: sp.spmatrix) -> sp.csr_matrix:
+    """Inverse of a matrix whose pattern splits into small diagonal blocks.
+
+    Each connected component of the pattern is one block, inverted
+    densely; all blocks of one size go through one ``np.linalg.inv``
+    call, so the Python work grows with the number of distinct block
+    sizes, not with the number of blocks.
+    """
+    M = sp.coo_matrix(M)
+    n = M.shape[0]
+    n_blocks, label = connected_components(M, directed=False)
+    size = np.bincount(label)
+    # Nodes sorted by block; pos is a node's place within its block.
+    order = np.argsort(label, kind="stable")
+    start = np.zeros(n_blocks + 1, dtype=np.int64)
+    np.cumsum(size, out=start[1:])
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n) - start[label[order]]
+    rows, cols, vals = [], [], []
+    for s in np.unique(size):
+        ids = np.flatnonzero(size == s)
+        slot = np.zeros(n_blocks, dtype=np.int64)
+        slot[ids] = np.arange(len(ids))
+        mine = size[label[M.row]] == s
+        r, c = M.row[mine], M.col[mine]
+        dense = np.zeros((len(ids), s, s))
+        dense[slot[label[r]], pos[r], pos[c]] = M.data[mine]
+        nodes = order[start[ids][:, None] + np.arange(s)]
+        rows.append(np.repeat(nodes, s, axis=1).ravel())
+        cols.append(np.tile(nodes, (1, s)).ravel())
+        vals.append(np.linalg.inv(dense).ravel())
+    inv = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    return inv.tocsr()
+
+
 @dataclass(eq=False)
 class Operators:
     """Spaces and the time-independent matrices on one mesh.
 
+    ``build_operators`` assembles the five operators the solver uses: the
+    masses ``MU`` and ``MW``, the velocity gradient ``BU``, the divergence
+    ``DP`` and the trace jump ``TH``; their adjoints enter the step matrix
+    as transposes. ``BW``, ``GU`` and ``TW`` are the adjoints assembled
+    independently (equal to ``BU.T``, ``DP.T`` and ``TH.T`` to roundoff,
+    with the same patterns), for checking that identity. They are built
+    on first access; the solver never reads them. ``gradient_lift`` is
+    also built on first use, by the solver.
+
     ``mp`` integrates a pressure field over the domain; ``p_const`` holds
-    the coefficients of the constant pressure one. ``GU @ p_const`` and
-    ``DP.T @ p_const`` vanish, so ``p_const`` spans the nullspace of the
-    step matrix through both its pressure columns and its mass rows.
+    the coefficients of the constant pressure one. ``DP.T @ p_const``
+    vanishes, so ``p_const`` spans the nullspace of the step matrix
+    through both its pressure columns ``DP.T`` and its mass rows ``-DP``.
     """
 
     mesh: StaggeredMesh
@@ -122,13 +175,29 @@ class Operators:
     MU: sp.csr_matrix
     MW: sp.csr_matrix
     BU: sp.csr_matrix
-    BW: sp.csr_matrix
     DP: sp.csr_matrix
-    GU: sp.csr_matrix
     TH: sp.csr_matrix
-    TW: sp.csr_matrix
     mp: np.ndarray
     p_const: np.ndarray
+
+    @cached_property
+    def BW(self) -> sp.csr_matrix:
+        return assemble_velocity_gradient_adjoint(self.gradient, self.velocity)
+
+    @cached_property
+    def GU(self) -> sp.csr_matrix:
+        return assemble_divergence_adjoint(self.velocity, self.pressure)
+
+    @cached_property
+    def TW(self) -> sp.csr_matrix:
+        return assemble_trace_jump_adjoint(self.gradient, self.trace)
+
+    @cached_property
+    def gradient_lift(self) -> sp.csr_matrix:
+        """``MW^{-1} [BU^T, TH^T]``, which maps the velocity and trace
+        coefficients to the scaled gradient over ``sqrt(eps)``. ``MW`` is
+        inverted block by block (see _block_inverse)."""
+        return (_block_inverse(self.MW) @ sp.hstack([self.BU.T, self.TH.T])).tocsr()
 
 
 def build_operators(mesh: StaggeredMesh, k: int) -> Operators:
@@ -146,11 +215,8 @@ def build_operators(mesh: StaggeredMesh, k: int) -> Operators:
         MU=assemble_mass(u),
         MW=assemble_mass(w),
         BU=assemble_velocity_gradient(u, w),
-        BW=assemble_velocity_gradient_adjoint(w, u),
         DP=assemble_divergence(p, u),
-        GU=assemble_divergence_adjoint(u, p),
         TH=assemble_trace_jump(th, w),
-        TW=assemble_trace_jump_adjoint(w, th),
         mp=pressure_integral(p),
         p_const=interpolate(p, lambda pts: np.ones(len(pts))).values,
     )
@@ -224,15 +290,16 @@ def _ones(B: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def _layout(ops: Operators, se: float) -> list:
-    """Slices of the step unknowns [w, u, uhat, p] in the step vector.
+    """Slices of the step unknowns [u, uhat, p] in the step vector.
 
-    They index the step matrix's equations [gradient, momentum,
-    trace-jump, mass] as well. In the Darcy limit (``se == 0``) the
-    gradient and trace slices are empty. The last stop is the system
+    They index the step matrix's equations [momentum, trace-jump, mass]
+    as well. The scaled gradient is not a step unknown: it is eliminated
+    and recovered (see Operators.gradient_lift). In the Darcy limit
+    (``se == 0``) the trace slice is empty. The last stop is the system
     size.
     """
-    w, u, t, p = (s.global_dim for s in (ops.gradient, ops.velocity, ops.trace, ops.pressure))
-    ends = np.cumsum([0, w, u, t, p] if se > 0.0 else [0, 0, u, 0, p]).tolist()
+    u, t, p = (s.global_dim for s in (ops.velocity, ops.trace, ops.pressure))
+    ends = np.cumsum([0, u, t if se > 0.0 else 0, p]).tolist()
     return [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
 
 
@@ -240,44 +307,59 @@ class _StepMatrix:
     """The step matrix on one pattern.
 
     Rows and columns share the slices of _layout: columns are ordered
-    [gradient, velocity, trace, pressure] and rows carry the gradient,
-    momentum, trace-jump and mass equations in the same order (reduced to
-    [velocity, pressure] in the Darcy limit). Constant pressures span the
-    nullspace on both sides. The velocity-velocity block is
-    ``m MU + beta J`` with ``m = sigma/dt + alpha`` and the drag
-    Jacobian ``J``; every other block is fixed for the run.
+    [velocity, trace, pressure] and rows carry the momentum, trace-jump
+    and mass equations in the same order. With ``eps = se^2``, ``Mi =
+    MW^{-1}`` and the drag Jacobian ``J`` the matrix is
+
+        [[m MU + beta J + eps BU Mi BU^T, eps BU Mi TH^T, DP^T],
+         [TH Mi BU^T,                     TH Mi TH^T,     0   ],
+         [-DP,                            0,              0   ]]
+
+    with ``m = sigma/dt + alpha``: the gradient equation ``MW L = se (BU^T
+    u + TH^T uhat)`` eliminated from the full system, and the trace-jump
+    rows ``TH L = 0`` divided by ``se`` so that they do not degenerate as
+    ``eps`` shrinks. In the Darcy limit it reduces to [[m MU + beta J,
+    DP^T], [-DP, 0]]. Constant pressures span the nullspace on both sides.
 
     The pattern is the union of the block patterns, including that of
     the drag matrix ``drag`` when there is one, and ``A`` keeps it for
-    the run. The fixed blocks are written once; ``update`` writes ``m MU``
-    into the velocity block when ``m`` changes and scatters ``beta
-    J.data`` into it through a precomputed slot map on every call, with
-    no sparse arithmetic. The drag matrices passed to ``update`` must
-    share the pattern of ``drag``.
+    the run. The blocks outside the velocity block are written once; in
+    the velocity block ``update`` writes the fixed ``eps BU Mi BU^T`` part
+    together with ``m MU`` when ``m`` changes and scatters ``beta J.data``
+    into it through a precomputed slot map on every call, with no sparse
+    arithmetic. The drag matrices passed to ``update`` must share the
+    pattern of ``drag``.
     """
 
     def __init__(self, ops: Operators, se: float, drag: sp.csr_matrix | None = None):
-        sl_u = _layout(ops, se)[1]
-        # The velocity block enters with the union of the MU and drag
-        # patterns; every entry is an MU or drag slot, which update writes.
+        sl_u = _layout(ops, se)[0]
+        # The velocity block enters with the union of the MU, drag and
+        # condensed patterns; every entry is one of their slots, which
+        # update writes.
         uu = _ones(ops.MU) if drag is None else _ones(ops.MU) + _ones(drag)
         if se == 0.0:
+            fixed = sp.csr_matrix(ops.MU.shape)
             blocks = [
-                [uu, ops.GU],
+                [uu, ops.DP.T],
                 [-ops.DP, None],
             ]
         else:
+            # K = [BU; TH] Mi [BU^T, TH^T], split at the velocity/trace border.
+            du, eps = ops.velocity.global_dim, se * se
+            K = (sp.vstack([ops.BU, ops.TH]) @ ops.gradient_lift).tocsr()
+            fixed = eps * K[:du, :du]
+            uu = uu + _ones(fixed)
             blocks = [
-                [ops.MW, -se * ops.BW, -se * ops.TW, None],
-                [se * ops.BU, uu, None, ops.GU],
-                [ops.TH, None, None, None],
-                [None, -ops.DP, None, None],
+                [uu, eps * K[:du, du:], ops.DP.T],
+                [K[du:, :du], K[du:, du:], None],
+                [-ops.DP, None, None],
             ]
         A = sp.bmat(blocks, format="csr")
         A.sum_duplicates()
         self.A = A
-        # Slot of every MU and drag entry in A.data, found among the keys
-        # row * n + column of the momentum rows, which canonical CSR sorts.
+        # Slot of every velocity-block entry in A.data, found among the
+        # keys row * n + column of the momentum rows, which canonical CSR
+        # sorts.
         n, ou, hi = A.shape[0], sl_u.start, sl_u.stop
         lo = A.indptr[ou]
         rows = np.repeat(np.arange(ou, hi), np.diff(A.indptr[ou : hi + 1]))
@@ -287,18 +369,21 @@ class _StepMatrix:
             C = B.tocoo()
             return lo + np.searchsorted(keys, (C.row + ou).astype(np.int64) * n + C.col + ou)
 
+        self._uu_slots = slots(uu)
+        self._fixed_slots, self._fixed_vals = slots(fixed), fixed.tocoo().data
         self._mass_slots, self._mass_vals = slots(ops.MU), ops.MU.tocoo().data
         self._drag_slots = slots(drag) if drag is not None else None
         self._drag_base = None
         self._m = None
 
     def update(self, m: float, beta: float = 0.0, drag: sp.csr_matrix | None = None):
-        """Write ``m MU + beta drag`` into the velocity block of ``A``."""
+        """Write ``m MU + beta drag`` and the fixed condensed part into the
+        velocity block of ``A``."""
         data = self.A.data
         if m != self._m:
-            if self._drag_slots is not None:
-                data[self._drag_slots] = 0.0
-            data[self._mass_slots] = m * self._mass_vals
+            data[self._uu_slots] = 0.0
+            data[self._fixed_slots] = self._fixed_vals
+            data[self._mass_slots] += m * self._mass_vals
             if self._drag_slots is not None:
                 self._drag_base = data[self._drag_slots]
             self._m = m
@@ -343,7 +428,7 @@ class _PinnedSolver:
     """
 
     def __init__(self, ops: Operators, se: float):
-        self.sl_p = _layout(ops, se)[3]
+        self.sl_p = _layout(ops, se)[2]
         self.mp = ops.mp
         self.c1 = ops.p_const
         self.omega = float(self.mp @ self.c1)
@@ -465,7 +550,7 @@ def run_transient(
         raise ValueError("need dt > 0 and at least one step")
     U, W, P, T = ops.velocity, ops.gradient, ops.pressure, ops.trace
     se = float(np.sqrt(params.epsilon))
-    sl_w, sl_u, sl_t, sl_p = _layout(ops, se)
+    sl_u, sl_t, sl_p = _layout(ops, se)
     dim_u = U.global_dim
 
     u_prev = np.zeros(dim_u) if u0 is None else np.asarray(u0.values, dtype=float)
@@ -529,6 +614,11 @@ def run_transient(
 
         u_prev2 = u_prev
         u_prev = u_guess
+        # The velocity and trace slices lead the step vector.
+        if se > 0.0:
+            L = se * (ops.gradient_lift @ x[: sl_t.stop])
+        else:
+            L = np.zeros(W.global_dim)
         reports.append(
             StepReport(
                 step=step,
@@ -537,23 +627,21 @@ def run_transient(
                 increments=increments,
                 residual=worst_resid,
                 u_l2=_l2(ops.MU, u_prev),
-                L_l2=_l2(ops.MW, x[sl_w]) if se > 0.0 else 0.0,
+                L_l2=_l2(ops.MW, L),
                 factorizations=stepper.factor_count - factors0,
                 refine_passes=stepper.refine_count - passes0,
             )
         )
 
     t_final = n_steps * dt
-    zero_w = np.zeros(W.global_dim)
-    zero_t = np.zeros(T.global_dim)
     return TransientResult(
         ops=ops,
         params=params,
         scheme=scheme,
         dt=dt,
         u=FieldCoefficients(U, u_prev, t=t_final),
-        L=FieldCoefficients(W, x[sl_w] if se > 0.0 else zero_w, t=t_final),
-        uhat=FieldCoefficients(T, x[sl_t] if se > 0.0 else zero_t, t=t_final),
+        L=FieldCoefficients(W, L, t=t_final),
+        uhat=FieldCoefficients(T, x[sl_t] if se > 0.0 else np.zeros(T.global_dim), t=t_final),
         p=FieldCoefficients(P, x[sl_p], t=t_final),
         mu=0.0,
         reports=reports,

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sdgflow import spaces
 from sdgflow.forms import (
@@ -18,6 +19,7 @@ from sdgflow.forms import (
     assemble_trace_jump_adjoint,
     assemble_velocity_gradient,
     assemble_velocity_gradient_adjoint,
+    drop_small,
     pressure_integral,
 )
 from sdgflow.mesh import PrimalMesh, build_rectangle_mesh, build_staggered
@@ -365,3 +367,25 @@ def test_space_kind_validation():
         assemble_divergence(u, p)
     with pytest.raises(ValueError):
         assemble_mass(build_space(mesh, TRACE, 1))
+
+
+def test_drop_small_against_row_and_column_maxima():
+    # Dropped: -1e-12 at exactly 1e-12 times its row max, 3e-13 (its own
+    # row's max) against its column max, 1.5e-12 against its row max 2.
+    # Kept: 1e-9, nine orders of magnitude below its row max.
+    dense = np.array(
+        [
+            [1.0, -1e-12, 1e-9, 0.0, 0.0],
+            [0.0, 0.5, 0.0, 0.25, 0.0],
+            [3e-13, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 4e-3, 2.0, 1.5e-12],
+        ]
+    )
+    A = sp.csr_matrix(dense)
+    got = drop_small(A)
+    want = dense.copy()
+    want[0, 1] = want[2, 0] = want[3, 4] = 0.0
+    assert got.nnz == np.count_nonzero(want) == 6
+    assert got.has_canonical_format
+    np.testing.assert_array_equal(got.toarray(), want)
+    np.testing.assert_array_equal(A.toarray(), dense)

@@ -1,7 +1,8 @@
 """Batched set-up path against the element-by-element reference.
 
-Tables, numbering, expansion matrices, the eight operators of
-``build_operators`` and interpolation must match the loop versions kept
+Tables, numbering, expansion matrices, the five operators of
+``build_operators``, the three adjoints that ``Operators`` assembles on
+first access, and interpolation must match the loop versions kept
 in ``_oracles``; the number of Python calls made while building the
 operators must not grow with the mesh. The constant pressure must span
 the nullspaces of both pressure couplings, which the step solver's
@@ -148,6 +149,22 @@ def test_batched_setup_matches_loop_reference(mesh_name, k):
         fn = smooth_field(kind)
         a = interpolate(got[kind], fn).values
         assert rel(a, ref.loop_interpolate(want[kind], fn)) <= 1e-14, kind
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_adjoint_patterns_match_transposes(mesh_name, k):
+    # Compression leaves roundoff residues wherever contributions cancel,
+    # in places that depend on the summation order. With the residues
+    # dropped, each independently assembled adjoint stores exactly the
+    # entries of its operator's transpose.
+    ops = build_operators(MESHES[mesh_name](), k)
+    for adjoint, name in (("BW", "BU"), ("GU", "DP"), ("TW", "TH")):
+        got, want = getattr(ops, adjoint).tocsr(), getattr(ops, name).T.tocsr()
+        got.sort_indices()
+        want.sort_indices()
+        np.testing.assert_array_equal(got.indptr, want.indptr, err_msg=adjoint)
+        np.testing.assert_array_equal(got.indices, want.indices, err_msg=adjoint)
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
-from sdgflow import spaces
+from sdgflow import solver, spaces
 from sdgflow.mesh import PrimalMesh, build_rectangle_mesh, build_staggered
 from sdgflow.solver import (
     BACKWARD_EULER,
@@ -253,15 +253,18 @@ def perturbed_ops():
     return build_operators(perturbed_mesh(3, seed=2), 1)
 
 
-@pytest.mark.parametrize("beta", [0.0, 1e4])
-@pytest.mark.parametrize("scheme", [BACKWARD_EULER, BDF2])
-@pytest.mark.parametrize("eps", [1.0, 0.0])
-def test_matches_reference_step_loop(perturbed_ops, eps, scheme, beta):
+@pytest.fixture(scope="module")
+def perturbed_ops_k2():
+    return build_operators(perturbed_mesh(3, seed=2), 2)
+
+
+def _check_against_reference_step_loop(ops, eps, scheme, beta):
     # The in-place step matrix, the drag Jacobian and warm-started
     # refinement must give the fields and sweep counts of a Newton loop
     # that rebuilds every matrix, integrates the Jacobian triangle by
     # triangle and refines from zero, with no more triangular solves.
-    ops = perturbed_ops
+    # The reference solves the full system, with the scaled gradient as
+    # an unknown; the library eliminates it and recovers it.
     params = ModelParams(eps, 1.0, beta)
     dt, n = 0.02, 6
     res = run_transient(ops, params, forcing, dt=dt, n_steps=n, scheme=scheme)
@@ -283,3 +286,38 @@ def test_matches_reference_step_loop(perturbed_ops, eps, scheme, beta):
         for name in names:
             got, want = getattr(res, name).values, picard[name]
             assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e4])
+@pytest.mark.parametrize("scheme", [BACKWARD_EULER, BDF2])
+@pytest.mark.parametrize("eps", [1.0, 1e-6, 0.0])
+def test_matches_reference_step_loop(perturbed_ops, eps, scheme, beta):
+    # eps = 1e-6 checks that the condensed trace rows stay well
+    # conditioned as the diffusion shrinks.
+    _check_against_reference_step_loop(perturbed_ops, eps, scheme, beta)
+
+
+@pytest.mark.parametrize("scheme", [BACKWARD_EULER, BDF2])
+@pytest.mark.parametrize("eps", [1.0, 1e-6, 0.0])
+def test_matches_reference_step_loop_k2_drag_free(perturbed_ops_k2, eps, scheme):
+    _check_against_reference_step_loop(perturbed_ops_k2, eps, scheme, 0.0)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-6, 0.0])
+def test_step_system_leaves_out_the_scaled_gradient(monkeypatch, eps):
+    # Every factored step matrix has the velocity, trace and pressure
+    # unknowns (velocity and pressure in the Darcy limit), never the
+    # scaled gradient.
+    ops = operators(2)
+    shapes = []
+
+    def recording_splu(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", recording_splu)
+    run_transient(ops, ModelParams(eps, 1.0, 1.0), forcing, dt=0.05, n_steps=3)
+    n = ops.velocity.global_dim + ops.pressure.global_dim
+    if eps > 0.0:
+        n += ops.trace.global_dim
+    assert shapes and all(shape == (n, n) for shape in shapes)
