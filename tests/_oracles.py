@@ -13,6 +13,18 @@ from math import comb, factorial
 
 import numpy as np
 
+from sdgflow.mesh import (
+    DUAL,
+    GEOM_TOL,
+    PRIMAL_BOUNDARY,
+    PRIMAL_INTERIOR,
+    MeshError,
+    MeshGeometryError,
+    MeshQualityReport,
+    MeshTopologyError,
+    StaggeredMesh,
+)
+
 
 def tri_area(tri) -> float:
     (x1, y1), (x2, y2), (x3, y3) = np.asarray(tri, dtype=float)
@@ -801,3 +813,337 @@ def loop_interpolate(space, fieldfn):
                 base = ibase + tri * 4 * nk1
                 g[base : base + 4 * nk1] = mom.ravel()
     return g
+
+
+# Mesh construction as it was built per polygon, side and edge, with dict
+# bookkeeping; the array code in sdgflow.mesh must reproduce its arrays
+# exactly and raise the same errors with the same messages.
+
+
+def _polygon_signed_area(coords: np.ndarray) -> float:
+    x, y = coords[:, 0], coords[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _polygon_centroid(coords: np.ndarray) -> np.ndarray:
+    x, y = coords[:, 0], coords[:, 1]
+    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
+    area = 0.5 * cross.sum()
+    cx = np.sum((x + np.roll(x, -1)) * cross) / (6.0 * area)
+    cy = np.sum((y + np.roll(y, -1)) * cross) / (6.0 * area)
+    return np.array([cx, cy])
+
+
+def _segments_properly_intersect(p1, p2, q1, q2, tol) -> bool:
+    """True if open segments (p1,p2) and (q1,q2) cross at an interior point."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1 = orient(q1, q2, p1)
+    d2 = orient(q1, q2, p2)
+    d3 = orient(p1, p2, q1)
+    d4 = orient(p1, p2, q2)
+    return d1 * d2 < -tol and d3 * d4 < -tol
+
+
+class LoopPrimalMesh:
+    """Validated polygonal tiling.
+
+    Parameters
+    ----------
+    vertices : ndarray
+        Shape (nv, 2). Vertex coordinates.
+    polygons : sequence of int sequences
+        Counterclockwise vertex-index cycles, one per polygon.
+
+    Raises
+    ------
+    MeshGeometryError
+        Non-positive polygon area, clockwise cycle, or self-intersection.
+    MeshTopologyError
+        An edge shared by more than two polygons, by two polygons in the
+        same direction, or a tiling whose polygon areas do not add up to
+        the area enclosed by its boundary.
+    """
+
+    def __init__(self, vertices, polygons):
+        self.vertices = np.array(vertices, dtype=float)
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
+            raise MeshError("vertices must be an (nv, 2) array")
+        self.polygons = [np.asarray(p, dtype=int) for p in polygons]
+        self._validate_polygons()
+        self._build_edges()
+        self._validate_partition()
+        self.vertices.setflags(write=False)
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def n_polygons(self) -> int:
+        return len(self.polygons)
+
+    def polygon_coords(self, p: int) -> np.ndarray:
+        return self.vertices[self.polygons[p]]
+
+    def polygon_area(self, p: int) -> float:
+        return _polygon_signed_area(self.polygon_coords(p))
+
+    def _validate_polygons(self):
+        nv = self.n_vertices
+        for ip, poly in enumerate(self.polygons):
+            if len(poly) < 3:
+                raise MeshError(f"polygon {ip} has fewer than 3 vertices")
+            if (poly < 0).any() or (poly >= nv).any():
+                raise MeshError(f"polygon {ip} references a missing vertex")
+            if len(np.unique(poly)) != len(poly):
+                raise MeshError(f"polygon {ip} repeats a vertex")
+            coords = self.vertices[poly]
+            diam = np.ptp(coords, axis=0).max()
+            area = _polygon_signed_area(coords)
+            if area <= GEOM_TOL * diam * diam:
+                raise MeshGeometryError(
+                    f"polygon {ip} is degenerate or clockwise (signed area {area:g})"
+                )
+            m = len(poly)
+            tol = GEOM_TOL * diam * diam
+            for i in range(m):
+                for j in range(i + 1, m):
+                    if j == i + 1 or (i == 0 and j == m - 1):
+                        continue  # adjacent sides share a vertex
+                    if _segments_properly_intersect(
+                        coords[i], coords[(i + 1) % m], coords[j], coords[(j + 1) % m], tol
+                    ):
+                        raise MeshGeometryError(f"polygon {ip} is self-intersecting")
+
+    def _build_edges(self):
+        edge_ids: dict[tuple[int, int], int] = {}
+        edge_vertices = []
+        edge_polygons: list[list[int]] = []
+        edge_directions: list[list[int]] = []
+        for ip, poly in enumerate(self.polygons):
+            m = len(poly)
+            for i in range(m):
+                a, b = int(poly[i]), int(poly[(i + 1) % m])
+                key = (min(a, b), max(a, b))
+                eid = edge_ids.get(key)
+                if eid is None:
+                    eid = len(edge_vertices)
+                    edge_ids[key] = eid
+                    edge_vertices.append(key)
+                    edge_polygons.append([])
+                    edge_directions.append([])
+                if len(edge_polygons[eid]) == 2:
+                    raise MeshTopologyError(
+                        f"non-manifold edge {eid} {key}: shared by more than two polygons"
+                    )
+                edge_polygons[eid].append(ip)
+                edge_directions[eid].append(1 if a == key[0] else -1)
+        for eid, dirs in enumerate(edge_directions):
+            if len(dirs) == 2 and dirs[0] == dirs[1]:
+                raise MeshTopologyError(
+                    f"edge {eid} {edge_vertices[eid]} traversed twice in the same "
+                    "direction; polygons overlap or are inconsistently oriented"
+                )
+        self.edge_vertices = np.array(edge_vertices, dtype=int)
+        self.edge_polygons = edge_polygons
+        self._edge_directions = edge_directions
+        self.edge_ids = edge_ids
+        self.boundary_edge = np.array([len(ps) == 1 for ps in edge_polygons])
+
+    def _validate_partition(self):
+        total = sum(self.polygon_area(p) for p in range(self.n_polygons))
+        boundary = 0.0
+        for eid in np.flatnonzero(self.boundary_edge):
+            a, b = self.edge_vertices[eid]
+            if self._edge_directions[eid][0] < 0:
+                a, b = b, a
+            pa, pb = self.vertices[a], self.vertices[b]
+            boundary += 0.5 * (pa[0] * pb[1] - pb[0] * pa[1])
+        if abs(total - boundary) > 1e-12 * max(total, 1.0):
+            raise MeshTopologyError(
+                f"polygon areas sum to {total:g} but the boundary encloses "
+                f"{boundary:g}; polygons overlap or leave gaps"
+            )
+
+
+def loop_build_staggered(primal: LoopPrimalMesh, interior_points=None) -> StaggeredMesh:
+    """Construct the simplicial submesh and its full edge table.
+
+    Parameters
+    ----------
+    primal : LoopPrimalMesh
+    interior_points : ndarray, optional
+        Shape (n_polygons, 2); one point strictly inside each polygon with
+        the polygon star-shaped around it. Defaults to polygon centroids.
+
+    Raises
+    ------
+    MeshGeometryError
+        If an interior point produces an inverted or degenerate triangle;
+        the message names the polygon.
+    """
+    npoly = primal.n_polygons
+    if interior_points is None:
+        interior_points = np.array(
+            [_polygon_centroid(primal.polygon_coords(p)) for p in range(npoly)]
+        )
+    else:
+        interior_points = np.asarray(interior_points, dtype=float)
+        if interior_points.shape != (npoly, 2):
+            raise MeshError("need one interior point per polygon")
+    points = np.vstack([primal.vertices, interior_points])
+
+    n_pe = len(primal.edge_vertices)
+    tri, tri_poly, tri_pedge = [], [], []
+    dual_ids: dict[tuple[int, int], int] = {}
+    edge_points = [tuple(vw) for vw in primal.edge_vertices]
+    edge_class = [
+        PRIMAL_BOUNDARY if b else PRIMAL_INTERIOR for b in primal.boundary_edge
+    ]
+    edge_adj: list[list[int]] = [[] for _ in range(n_pe)]
+
+    def dual_edge(v: int, nu: int) -> int:
+        key = (v, nu)
+        eid = dual_ids.get(key)
+        if eid is None:
+            eid = len(edge_points)
+            dual_ids[key] = eid
+            edge_points.append((min(v, nu), max(v, nu)))
+            edge_class.append(DUAL)
+            edge_adj.append([])
+        return eid
+
+    tri_dual = []
+    for ip, poly in enumerate(primal.polygons):
+        nu_id = primal.n_vertices + ip
+        nu = points[nu_id]
+        coords = primal.vertices[poly]
+        diam = np.ptp(coords, axis=0).max()
+        m = len(poly)
+        for i in range(m):
+            a, b = int(poly[i]), int(poly[(i + 1) % m])
+            pa, pb = points[a], points[b]
+            area2 = (pb[0] - pa[0]) * (nu[1] - pa[1]) - (pb[1] - pa[1]) * (nu[0] - pa[0])
+            if area2 <= GEOM_TOL * diam * diam:
+                raise MeshGeometryError(
+                    f"interior point of polygon {ip} yields an inverted or "
+                    f"degenerate triangle on edge ({a}, {b})"
+                )
+            t = len(tri)
+            tri.append((a, b, nu_id))
+            tri_poly.append(ip)
+            pe = primal.edge_ids[(min(a, b), max(a, b))]
+            tri_pedge.append(pe)
+            edge_adj[pe].append(t)
+            da, db = dual_edge(a, nu_id), dual_edge(b, nu_id)
+            edge_adj[da].append(t)
+            edge_adj[db].append(t)
+            tri_dual.append((da, db))
+
+    tri = np.array(tri, dtype=int)
+    tri_poly = np.array(tri_poly, dtype=int)
+    tri_pedge = np.array(tri_pedge, dtype=int)
+    tri_dual = np.array(tri_dual, dtype=int)
+    edge_points = np.array(edge_points, dtype=int)
+    edge_class = np.array(edge_class, dtype=np.int8)
+    ne = len(edge_points)
+
+    edge_tri = np.full((ne, 2), -1, dtype=int)
+    edge_sign = np.zeros((ne, 2))
+    vec = points[edge_points[:, 1]] - points[edge_points[:, 0]]
+    edge_length = np.hypot(vec[:, 0], vec[:, 1])
+    edge_canon_tangent = vec / edge_length[:, None]
+    edge_canon_normal = np.column_stack(
+        [edge_canon_tangent[:, 1], -edge_canon_tangent[:, 0]]
+    )
+    edge_normal = np.empty((ne, 2))
+    tri_centroids = points[tri].mean(axis=1)
+
+    for e in range(ne):
+        adj = sorted(edge_adj[e])
+        if edge_class[e] == PRIMAL_BOUNDARY:
+            if len(adj) != 1:
+                raise MeshTopologyError(f"boundary edge {e} has {len(adj)} triangles")
+        elif len(adj) != 2:
+            raise MeshTopologyError(f"interior edge {e} has {len(adj)} triangles")
+        edge_tri[e, : len(adj)] = adj
+        mid = 0.5 * (points[edge_points[e, 0]] + points[edge_points[e, 1]])
+        n = edge_canon_normal[e]
+        # Point the stored normal out of the first (lowest-index) triangle.
+        if n @ (tri_centroids[adj[0]] - mid) > 0:
+            n = -n
+        edge_normal[e] = n
+        edge_sign[e, 0] = 1.0
+        if len(adj) == 2:
+            edge_sign[e, 1] = -1.0
+            if n @ (tri_centroids[adj[1]] - mid) <= 0:
+                raise MeshTopologyError(
+                    f"edge {e}: adjacent triangles lie on the same side"
+                )
+    edge_tangent = np.column_stack([-edge_normal[:, 1], edge_normal[:, 0]])
+
+    tri_xy = points[tri]
+    sides = np.stack(
+        [
+            np.linalg.norm(tri_xy[:, 1] - tri_xy[:, 0], axis=1),
+            np.linalg.norm(tri_xy[:, 2] - tri_xy[:, 1], axis=1),
+            np.linalg.norm(tri_xy[:, 0] - tri_xy[:, 2], axis=1),
+        ],
+        axis=1,
+    )
+    h = float(sides.max())
+
+    for arr in (
+        points, tri, tri_poly, tri_pedge, tri_dual, edge_points, edge_class,
+        edge_normal, edge_tangent, edge_canon_tangent, edge_canon_normal,
+        edge_length, edge_tri, edge_sign,
+    ):
+        arr.setflags(write=False)
+    return StaggeredMesh(
+        primal=primal,
+        points=points,
+        tri=tri,
+        tri_poly=tri_poly,
+        tri_pedge=tri_pedge,
+        tri_dual=tri_dual,
+        edge_points=edge_points,
+        edge_class=edge_class,
+        edge_normal=edge_normal,
+        edge_tangent=edge_tangent,
+        edge_canon_tangent=edge_canon_tangent,
+        edge_canon_normal=edge_canon_normal,
+        edge_length=edge_length,
+        edge_tri=edge_tri,
+        edge_sign=edge_sign,
+        h=h,
+    )
+
+
+def loop_mesh_quality(mesh: StaggeredMesh) -> MeshQualityReport:
+    """Shape-regularity estimates; all ratios are positive for valid meshes."""
+    primal = mesh.primal
+    star = np.empty(primal.n_polygons)
+    edge = np.empty(primal.n_polygons)
+    for p in range(primal.n_polygons):
+        coords = primal.polygon_coords(p)
+        nu = mesh.points[primal.n_vertices + p]
+        diam = max(
+            np.linalg.norm(coords[i] - coords[j])
+            for i in range(len(coords))
+            for j in range(i + 1, len(coords))
+        )
+        dists, lengths = [], []
+        m = len(coords)
+        for i in range(m):
+            a, b = coords[i], coords[(i + 1) % m]
+            d = b - a
+            L = np.linalg.norm(d)
+            t = np.clip((nu - a) @ d / (L * L), 0.0, 1.0)
+            dists.append(np.linalg.norm(nu - (a + t * d)))
+            lengths.append(L)
+        star[p] = min(dists) / diam
+        edge[p] = min(lengths) / diam
+    return MeshQualityReport(h=mesh.h, star_ratio=star, edge_ratio=edge)
