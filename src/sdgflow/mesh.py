@@ -8,12 +8,21 @@ continuity) and the dual edges (interior-point spokes, carrying velocity
 normal continuity). Each edge stores a fixed unit normal, the adjacent
 triangles and their orientation signs, so jump terms can be assembled
 without re-deriving geometry.
+
+Construction is array code with no Python loop per polygon, side or
+edge. The sides of all polygons are kept as flat arrays; the primal edges
+(keyed by their two vertices) and the dual edges (keyed by vertex and
+interior point) are numbered in order of first appearance along those
+sides, and the per-polygon geometry and checks run in one batch per
+distinct polygon size.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -42,35 +51,85 @@ class MeshGeometryError(MeshError):
     """Degenerate or inverted geometry; message names the polygon."""
 
 
-def _polygon_signed_area(coords: np.ndarray) -> float:
-    x, y = coords[:, 0], coords[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _first_seen(keys: np.ndarray):
+    """Number the distinct keys in order of first appearance.
+
+    Returns the number of every key and, per number, the index of the
+    key's first appearance.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.ravel()], first[order]
 
 
-def _polygon_centroid(coords: np.ndarray) -> np.ndarray:
-    x, y = coords[:, 0], coords[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    area = 0.5 * cross.sum()
-    cx = np.sum((x + np.roll(x, -1)) * cross) / (6.0 * area)
-    cy = np.sum((y + np.roll(y, -1)) * cross) / (6.0 * area)
-    return np.array([cx, cy])
+def _size_groups(start: np.ndarray, corners: np.ndarray):
+    """Yield (m, polygon ids, (n, m) vertex ids) per distinct polygon size m."""
+    sizes = np.diff(start)
+    for m in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == m)
+        yield m, rows, corners[start[rows, None] + np.arange(m)]
 
 
-def _segments_properly_intersect(p1, p2, q1, q2, tol) -> bool:
-    """True if open segments (p1,p2) and (q1,q2) cross at an interior point."""
+def _orient(a, b, c):
+    """Twice the signed area of the triangles (a, b, c), batched."""
+    return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (b[..., 1] - a[..., 1]) * (
+        c[..., 0] - a[..., 0]
+    )
 
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return d1 * d2 < -tol and d3 * d4 < -tol
+def _polygon_geometry(xy: np.ndarray):
+    """Signed area, centroid, ptp diameter and self-crossing flag of a
+    batch of polygons with m vertices each, ``xy`` of shape (n, m, 2).
+
+    Every sum runs over a contiguous last axis, one coordinate at a time,
+    so it rounds like ``np.sum`` on a single polygon.
+    """
+    m = xy.shape[1]
+    x, y = xy[..., 0], xy[..., 1]
+    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    cross = x * yn - xn * y
+    area = 0.5 * cross.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centroid = np.column_stack(
+            [((x + xn) * cross).sum(axis=1), ((y + yn) * cross).sum(axis=1)]
+        ) / (6.0 * area[:, None])
+    diam = np.ptp(xy, axis=1).max(axis=1)
+    tol = (GEOM_TOL * diam * diam)[:, None]
+    # Sides i and j cross at interior points; adjacent sides share a vertex.
+    i, j = np.triu_indices(m, 2)
+    keep = (i > 0) | (j < m - 1)
+    i, j = i[keep], j[keep]
+    p1, p2, q1, q2 = xy[:, i], xy[:, (i + 1) % m], xy[:, j], xy[:, (j + 1) % m]
+    crossing = (
+        (_orient(q1, q2, p1) * _orient(q1, q2, p2) < -tol)
+        & (_orient(p1, p2, q1) * _orient(p1, p2, q2) < -tol)
+    ).any(axis=1)
+    return area, centroid, diam, crossing
+
+
+# The first failed check of a polygon, by code, in the order they are made.
+_POLYGON_ERRORS = {
+    1: (MeshError, "polygon {ip} has fewer than 3 vertices"),
+    2: (MeshError, "polygon {ip} references a missing vertex"),
+    3: (MeshError, "polygon {ip} repeats a vertex"),
+    4: (MeshGeometryError, "polygon {ip} is degenerate or clockwise (signed area {area:g})"),
+    5: (MeshGeometryError, "polygon {ip} is self-intersecting"),
+}
 
 
 class PrimalMesh:
     """Validated polygonal tiling.
+
+    The sides of all polygons are kept as flat arrays, polygon by polygon
+    and counterclockwise within each: side ``s`` runs from vertex
+    ``side_from[s]`` to ``side_to[s]`` on polygon ``side_poly[s]`` and
+    primal edge ``side_edge[s]``; the sides of polygon ``p`` are
+    ``poly_start[p]:poly_start[p + 1]``. Edges are numbered in order of
+    first appearance along the sides, and ``edge_vertices`` holds their
+    (lower, higher) vertex ids. ``areas``, ``centroids`` and ``diameters``
+    (the largest coordinate extent) are per polygon.
 
     Parameters
     ----------
@@ -93,11 +152,19 @@ class PrimalMesh:
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
-        self.polygons = [np.asarray(p, dtype=int) for p in polygons]
+        sizes = np.fromiter(map(len, polygons), dtype=int)
+        self.poly_start = np.concatenate([[0], np.cumsum(sizes)])
+        self.side_from = np.fromiter(
+            chain.from_iterable(polygons), dtype=int, count=self.poly_start[-1]
+        )
         self._validate_polygons()
         self._build_edges()
         self._validate_partition()
-        self.vertices.setflags(write=False)
+        for arr in (
+            self.vertices, self.poly_start, self.side_from, self.side_to,
+            self.side_poly, self.side_edge,
+        ):
+            arr.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:
@@ -105,85 +172,80 @@ class PrimalMesh:
 
     @property
     def n_polygons(self) -> int:
-        return len(self.polygons)
+        return len(self.poly_start) - 1
 
-    def polygon_coords(self, p: int) -> np.ndarray:
-        return self.vertices[self.polygons[p]]
+    @cached_property
+    def polygons(self) -> list:
+        """Vertex-index cycle of every polygon."""
+        return np.split(self.side_from, self.poly_start[1:-1])[: self.n_polygons]
 
     def polygon_area(self, p: int) -> float:
-        return _polygon_signed_area(self.polygon_coords(p))
+        return float(self.areas[p])
 
     def _validate_polygons(self):
-        nv = self.n_vertices
-        for ip, poly in enumerate(self.polygons):
-            if len(poly) < 3:
-                raise MeshError(f"polygon {ip} has fewer than 3 vertices")
-            if (poly < 0).any() or (poly >= nv).any():
-                raise MeshError(f"polygon {ip} references a missing vertex")
-            if len(np.unique(poly)) != len(poly):
-                raise MeshError(f"polygon {ip} repeats a vertex")
-            coords = self.vertices[poly]
-            diam = np.ptp(coords, axis=0).max()
-            area = _polygon_signed_area(coords)
-            if area <= GEOM_TOL * diam * diam:
-                raise MeshGeometryError(
-                    f"polygon {ip} is degenerate or clockwise (signed area {area:g})"
-                )
-            m = len(poly)
-            tol = GEOM_TOL * diam * diam
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if j == i + 1 or (i == 0 and j == m - 1):
-                        continue  # adjacent sides share a vertex
-                    if _segments_properly_intersect(
-                        coords[i], coords[(i + 1) % m], coords[j], coords[(j + 1) % m], tol
-                    ):
-                        raise MeshGeometryError(f"polygon {ip} is self-intersecting")
+        nv, npoly = self.n_vertices, self.n_polygons
+        code = np.zeros(npoly, dtype=int)
+        self.areas = np.zeros(npoly)
+        self.centroids = np.zeros((npoly, 2))
+        self.diameters = np.zeros(npoly)
+        for m, rows, corners in _size_groups(self.poly_start, self.side_from):
+            if m < 3:
+                code[rows] = 1
+                continue
+            ids = np.sort(corners, axis=1)
+            code[rows] = np.where(
+                (ids[:, 0] < 0) | (ids[:, -1] >= nv),
+                2,
+                np.where((ids[:, 1:] == ids[:, :-1]).any(axis=1), 3, 0),
+            )
+            valid = code[rows] == 0
+            rows = rows[valid]
+            area, centroid, diam, crossing = _polygon_geometry(self.vertices[corners[valid]])
+            self.areas[rows], self.centroids[rows], self.diameters[rows] = area, centroid, diam
+            code[rows] = np.where(area <= GEOM_TOL * diam * diam, 4, np.where(crossing, 5, 0))
+        bad = np.flatnonzero(code)
+        if len(bad):
+            ip = bad[0]
+            cls, message = _POLYGON_ERRORS[code[ip]]
+            raise cls(message.format(ip=ip, area=self.areas[ip]))
 
     def _build_edges(self):
-        edge_ids: dict[tuple[int, int], int] = {}
-        edge_vertices = []
-        edge_polygons: list[list[int]] = []
-        edge_directions: list[list[int]] = []
-        for ip, poly in enumerate(self.polygons):
-            m = len(poly)
-            for i in range(m):
-                a, b = int(poly[i]), int(poly[(i + 1) % m])
-                key = (min(a, b), max(a, b))
-                eid = edge_ids.get(key)
-                if eid is None:
-                    eid = len(edge_vertices)
-                    edge_ids[key] = eid
-                    edge_vertices.append(key)
-                    edge_polygons.append([])
-                    edge_directions.append([])
-                if len(edge_polygons[eid]) == 2:
-                    raise MeshTopologyError(
-                        f"non-manifold edge {eid} {key}: shared by more than two polygons"
-                    )
-                edge_polygons[eid].append(ip)
-                edge_directions[eid].append(1 if a == key[0] else -1)
-        for eid, dirs in enumerate(edge_directions):
-            if len(dirs) == 2 and dirs[0] == dirs[1]:
-                raise MeshTopologyError(
-                    f"edge {eid} {edge_vertices[eid]} traversed twice in the same "
-                    "direction; polygons overlap or are inconsistently oriented"
-                )
-        self.edge_vertices = np.array(edge_vertices, dtype=int)
-        self.edge_polygons = edge_polygons
-        self._edge_directions = edge_directions
-        self.edge_ids = edge_ids
-        self.boundary_edge = np.array([len(ps) == 1 for ps in edge_polygons])
+        nv, start = self.n_vertices, self.poly_start
+        self.side_poly = np.repeat(np.arange(self.n_polygons), np.diff(start))
+        following = np.arange(1, len(self.side_from) + 1)
+        following[start[1:] - 1] = start[:-1]
+        self.side_to = self.side_from[following]
+        lo = np.minimum(self.side_from, self.side_to)
+        hi = np.maximum(self.side_from, self.side_to)
+        self.side_edge, first = _first_seen(lo * nv + hi)
+        self.edge_vertices = np.column_stack([lo[first], hi[first]])
+        # The sides of every edge, in side order.
+        order = np.argsort(self.side_edge, kind="stable")
+        count = np.bincount(self.side_edge)
+        head = np.cumsum(count) - count
+        if (count > 2).any():
+            eid = self.side_edge[order[head[count > 2] + 2].min()]
+            raise MeshTopologyError(
+                f"non-manifold edge {eid} {tuple(self.edge_vertices[eid].tolist())}: "
+                "shared by more than two polygons"
+            )
+        forward = self.side_from < self.side_to
+        two = np.flatnonzero(count == 2)
+        same = forward[order[head[two] + 1]] == forward[first[two]]
+        if same.any():
+            eid = two[np.argmax(same)]
+            raise MeshTopologyError(
+                f"edge {eid} {tuple(self.edge_vertices[eid].tolist())} traversed twice in "
+                "the same direction; polygons overlap or are inconsistently oriented"
+            )
+        self.edge_ids = dict(zip(map(tuple, self.edge_vertices.tolist()), range(len(first))))
+        self.boundary_edge = count == 1
 
     def _validate_partition(self):
-        total = sum(self.polygon_area(p) for p in range(self.n_polygons))
-        boundary = 0.0
-        for eid in np.flatnonzero(self.boundary_edge):
-            a, b = self.edge_vertices[eid]
-            if self._edge_directions[eid][0] < 0:
-                a, b = b, a
-            pa, pb = self.vertices[a], self.vertices[b]
-            boundary += 0.5 * (pa[0] * pb[1] - pb[0] * pa[1])
+        total = self.areas.sum()
+        outer = self.boundary_edge[self.side_edge]
+        pa, pb = self.vertices[self.side_from[outer]], self.vertices[self.side_to[outer]]
+        boundary = (0.5 * (pa[:, 0] * pb[:, 1] - pb[:, 0] * pa[:, 1])).sum()
         if abs(total - boundary) > 1e-12 * max(total, 1.0):
             raise MeshTopologyError(
                 f"polygon areas sum to {total:g} but the boundary encloses "
@@ -210,16 +272,9 @@ def build_rectangle_mesh(nx: int, ny: int, domain=(0.0, 0.0, 1.0, 1.0)) -> Prima
     ys = np.linspace(y0, y1, ny + 1)
     xx, yy = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    polygons = [
-        [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-        for j in range(ny)
-        for i in range(nx)
-    ]
-    return PrimalMesh(vertices, polygons)
+    # Lower-left vertex of every cell, row by row.
+    v = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    return PrimalMesh(vertices, np.column_stack([v, v + 1, v + nx + 2, v + nx + 1]))
 
 
 def read_polygon_mesh(source) -> PrimalMesh:
@@ -312,6 +367,8 @@ class StaggeredMesh:
     edge_tri: np.ndarray
     edge_sign: np.ndarray
     h: float
+    # Quadrature tables built on this mesh, filled by sdgflow.spaces.
+    tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_triangles(self) -> int:
@@ -382,104 +439,80 @@ def build_staggered(primal: PrimalMesh, interior_points=None) -> StaggeredMesh:
         If an interior point produces an inverted or degenerate triangle;
         the message names the polygon.
     """
-    npoly = primal.n_polygons
+    npoly, nv = primal.n_polygons, primal.n_vertices
     if interior_points is None:
-        interior_points = np.array(
-            [_polygon_centroid(primal.polygon_coords(p)) for p in range(npoly)]
-        )
+        interior_points = primal.centroids
     else:
         interior_points = np.asarray(interior_points, dtype=float)
         if interior_points.shape != (npoly, 2):
             raise MeshError("need one interior point per polygon")
     points = np.vstack([primal.vertices, interior_points])
 
-    n_pe = len(primal.edge_vertices)
-    tri, tri_poly, tri_pedge = [], [], []
-    dual_ids: dict[tuple[int, int], int] = {}
-    edge_points = [tuple(vw) for vw in primal.edge_vertices]
-    edge_class = [
-        PRIMAL_BOUNDARY if b else PRIMAL_INTERIOR for b in primal.boundary_edge
-    ]
-    edge_adj: list[list[int]] = [[] for _ in range(n_pe)]
-
-    def dual_edge(v: int, nu: int) -> int:
-        key = (v, nu)
-        eid = dual_ids.get(key)
-        if eid is None:
-            eid = len(edge_points)
-            dual_ids[key] = eid
-            edge_points.append((min(v, nu), max(v, nu)))
-            edge_class.append(DUAL)
-            edge_adj.append([])
-        return eid
-
-    tri_dual = []
-    for ip, poly in enumerate(primal.polygons):
-        nu_id = primal.n_vertices + ip
-        nu = points[nu_id]
-        coords = primal.vertices[poly]
-        diam = np.ptp(coords, axis=0).max()
-        m = len(poly)
-        for i in range(m):
-            a, b = int(poly[i]), int(poly[(i + 1) % m])
-            pa, pb = points[a], points[b]
-            area2 = (pb[0] - pa[0]) * (nu[1] - pa[1]) - (pb[1] - pa[1]) * (nu[0] - pa[0])
-            if area2 <= GEOM_TOL * diam * diam:
-                raise MeshGeometryError(
-                    f"interior point of polygon {ip} yields an inverted or "
-                    f"degenerate triangle on edge ({a}, {b})"
-                )
-            t = len(tri)
-            tri.append((a, b, nu_id))
-            tri_poly.append(ip)
-            pe = primal.edge_ids[(min(a, b), max(a, b))]
-            tri_pedge.append(pe)
-            edge_adj[pe].append(t)
-            da, db = dual_edge(a, nu_id), dual_edge(b, nu_id)
-            edge_adj[da].append(t)
-            edge_adj[db].append(t)
-            tri_dual.append((da, db))
-
-    tri = np.array(tri, dtype=int)
-    tri_poly = np.array(tri_poly, dtype=int)
-    tri_pedge = np.array(tri_pedge, dtype=int)
-    tri_dual = np.array(tri_dual, dtype=int)
-    edge_points = np.array(edge_points, dtype=int)
-    edge_class = np.array(edge_class, dtype=np.int8)
+    # One triangle (a, b, nu) per polygon side a -> b.
+    a, b, poly = primal.side_from, primal.side_to, primal.side_poly
+    nu = nv + poly
+    area2 = _orient(points[a], points[b], points[nu])
+    diam = primal.diameters[poly]
+    bad = np.flatnonzero(area2 <= GEOM_TOL * diam * diam)
+    if len(bad):
+        s = bad[0]
+        raise MeshGeometryError(
+            f"interior point of polygon {poly[s]} yields an inverted or "
+            f"degenerate triangle on edge ({a[s]}, {b[s]})"
+        )
+    tri = np.column_stack([a, b, nu])
+    # Dual edges (v, nu) follow the primal edges, numbered in order of
+    # first appearance along the triangle sides (a, nu), (b, nu).
+    spokes, hubs = np.column_stack([a, b]).ravel(), np.repeat(nu, 2)
+    dual, first = _first_seen(spokes * len(points) + hubs)
+    tri_dual = (len(primal.edge_vertices) + dual).reshape(-1, 2)
+    edge_points = np.vstack(
+        [primal.edge_vertices, np.column_stack([spokes[first], hubs[first]])]
+    )
+    edge_class = np.concatenate(
+        [
+            np.where(primal.boundary_edge, PRIMAL_BOUNDARY, PRIMAL_INTERIOR),
+            np.full(len(first), DUAL),
+        ]
+    ).astype(np.int8)
     ne = len(edge_points)
 
-    edge_tri = np.full((ne, 2), -1, dtype=int)
-    edge_sign = np.zeros((ne, 2))
-    vec = points[edge_points[:, 1]] - points[edge_points[:, 0]]
+    # Adjacent triangles of every edge, lowest index first; every edge
+    # has at least one, the triangle it was numbered from.
+    pair_edge = np.concatenate([primal.side_edge, tri_dual.ravel()])
+    pair_tri = np.concatenate([np.arange(len(tri)), np.arange(len(tri)).repeat(2)])
+    order = np.lexsort((pair_tri, pair_edge))
+    count = np.bincount(pair_edge)
+    head = np.cumsum(count) - count
+    two = count == 2
+    edge_tri = np.full((ne, 2), -1)
+    edge_tri[:, 0] = pair_tri[order[head]]
+    edge_tri[two, 1] = pair_tri[order[head[two] + 1]]
+    ends = points[edge_points]
+    vec = ends[:, 1] - ends[:, 0]
     edge_length = np.hypot(vec[:, 0], vec[:, 1])
     edge_canon_tangent = vec / edge_length[:, None]
     edge_canon_normal = np.column_stack(
         [edge_canon_tangent[:, 1], -edge_canon_tangent[:, 0]]
     )
-    edge_normal = np.empty((ne, 2))
     tri_centroids = points[tri].mean(axis=1)
 
-    for e in range(ne):
-        adj = sorted(edge_adj[e])
-        if edge_class[e] == PRIMAL_BOUNDARY:
-            if len(adj) != 1:
-                raise MeshTopologyError(f"boundary edge {e} has {len(adj)} triangles")
-        elif len(adj) != 2:
-            raise MeshTopologyError(f"interior edge {e} has {len(adj)} triangles")
-        edge_tri[e, : len(adj)] = adj
-        mid = 0.5 * (points[edge_points[e, 0]] + points[edge_points[e, 1]])
-        n = edge_canon_normal[e]
-        # Point the stored normal out of the first (lowest-index) triangle.
-        if n @ (tri_centroids[adj[0]] - mid) > 0:
-            n = -n
-        edge_normal[e] = n
-        edge_sign[e, 0] = 1.0
-        if len(adj) == 2:
-            edge_sign[e, 1] = -1.0
-            if n @ (tri_centroids[adj[1]] - mid) <= 0:
-                raise MeshTopologyError(
-                    f"edge {e}: adjacent triangles lie on the same side"
-                )
+    # Point the stored normal out of the first (lowest-index) triangle;
+    # a second triangle must lie on the other side.
+    mid = 0.5 * (ends[:, 0] + ends[:, 1])
+    n = edge_canon_normal
+    away = np.einsum("ed,ed->e", n, tri_centroids[edge_tri[:, 0]] - mid)
+    edge_normal = np.where((away > 0)[:, None], -n, n)
+    beyond = np.einsum("ed,ed->e", edge_normal, tri_centroids[edge_tri[:, 1]] - mid)
+    wrong_count = count != np.where(edge_class == PRIMAL_BOUNDARY, 1, 2)
+    same_side = two & (beyond <= 0)
+    if (wrong_count | same_side).any():
+        e = np.argmax(wrong_count | same_side)
+        if not wrong_count[e]:
+            raise MeshTopologyError(f"edge {e}: adjacent triangles lie on the same side")
+        kind = "boundary" if edge_class[e] == PRIMAL_BOUNDARY else "interior"
+        raise MeshTopologyError(f"{kind} edge {e} has {count[e]} triangles")
+    edge_sign = np.column_stack([np.ones(ne), np.where(two, -1.0, 0.0)])
     edge_tangent = np.column_stack([-edge_normal[:, 1], edge_normal[:, 0]])
 
     tri_xy = points[tri]
@@ -494,7 +527,7 @@ def build_staggered(primal: PrimalMesh, interior_points=None) -> StaggeredMesh:
     h = float(sides.max())
 
     for arr in (
-        points, tri, tri_poly, tri_pedge, tri_dual, edge_points, edge_class,
+        points, tri, tri_dual, edge_points, edge_class,
         edge_normal, edge_tangent, edge_canon_tangent, edge_canon_normal,
         edge_length, edge_tri, edge_sign,
     ):
@@ -503,8 +536,8 @@ def build_staggered(primal: PrimalMesh, interior_points=None) -> StaggeredMesh:
         primal=primal,
         points=points,
         tri=tri,
-        tri_poly=tri_poly,
-        tri_pedge=tri_pedge,
+        tri_poly=poly,
+        tri_pedge=primal.side_edge,
         tri_dual=tri_dual,
         edge_points=edge_points,
         edge_class=edge_class,
@@ -522,25 +555,22 @@ def build_staggered(primal: PrimalMesh, interior_points=None) -> StaggeredMesh:
 def mesh_quality(mesh: StaggeredMesh) -> MeshQualityReport:
     """Shape-regularity estimates; all ratios are positive for valid meshes."""
     primal = mesh.primal
-    star = np.empty(primal.n_polygons)
-    edge = np.empty(primal.n_polygons)
-    for p in range(primal.n_polygons):
-        coords = primal.polygon_coords(p)
-        nu = mesh.points[primal.n_vertices + p]
-        diam = max(
-            np.linalg.norm(coords[i] - coords[j])
-            for i in range(len(coords))
-            for j in range(i + 1, len(coords))
-        )
-        dists, lengths = [], []
-        m = len(coords)
-        for i in range(m):
-            a, b = coords[i], coords[(i + 1) % m]
-            d = b - a
-            L = np.linalg.norm(d)
-            t = np.clip((nu - a) @ d / (L * L), 0.0, 1.0)
-            dists.append(np.linalg.norm(nu - (a + t * d)))
-            lengths.append(L)
-        star[p] = min(dists) / diam
-        edge[p] = min(lengths) / diam
-    return MeshQualityReport(h=mesh.h, star_ratio=star, edge_ratio=edge)
+    a, b = primal.vertices[primal.side_from], primal.vertices[primal.side_to]
+    nu = mesh.points[primal.n_vertices + primal.side_poly]
+    d = b - a
+    length = np.hypot(d[:, 0], d[:, 1])
+    # Distance from the interior point to the nearest point of each side.
+    t = np.clip(np.einsum("sd,sd->s", nu - a, d) / (length * length), 0.0, 1.0)
+    gap = nu - (a + t[:, None] * d)
+    dist = np.hypot(gap[:, 0], gap[:, 1])
+    diam = np.empty(primal.n_polygons)
+    for _, rows, corners in _size_groups(primal.poly_start, primal.side_from):
+        xy = primal.vertices[corners]
+        chord = xy[:, :, None] - xy[:, None]
+        diam[rows] = np.hypot(chord[..., 0], chord[..., 1]).max(axis=(1, 2))
+    start = primal.poly_start[:-1]
+    return MeshQualityReport(
+        h=mesh.h,
+        star_ratio=np.minimum.reduceat(dist, start) / diam,
+        edge_ratio=np.minimum.reduceat(length, start) / diam,
+    )

@@ -25,10 +25,10 @@ values into the pattern in place through a fixed index map.
 
 Constant pressures span the nullspace of the step matrix on both sides,
 and the mass equations, whose right-hand side is zero, stay consistent.
-So the pressure needs a normalisation, not a Lagrange multiplier: one
-pressure coefficient is pinned, which makes the matrix nonsingular, and
-every solve is shifted by a constant pressure to zero mean; see
-_PinnedSolver. Factorizations are reused across sweeps and steps through
+So the pressure needs a normalisation, not a Lagrange multiplier: the
+step matrix pins one pressure coefficient in place of its mass equation,
+which makes it nonsingular (see _StepMatrix), and the final pressure is
+shifted by a constant to zero mean. Factorizations are reused across sweeps and steps through
 iterative refinement, since the Jacobian drifts slowly between them, and
 are rebuilt only when refinement stops contracting. Refinement starts
 from the previous solution, so a sweep whose answer barely moved needs
@@ -162,8 +162,9 @@ class Operators:
 
     ``mp`` integrates a pressure field over the domain; ``p_const`` holds
     the coefficients of the constant pressure one. ``DP.T @ p_const``
-    vanishes, so ``p_const`` spans the nullspace of the step matrix
-    through both its pressure columns ``DP.T`` and its mass rows ``-DP``.
+    vanishes, so ``p_const`` spans the nullspace of the unpinned step
+    matrix through both its pressure columns ``DP.T`` and its mass rows
+    ``-DP``.
     """
 
     mesh: StaggeredMesh
@@ -304,7 +305,7 @@ def _layout(ops: Operators, se: float) -> list:
 
 
 class _StepMatrix:
-    """The step matrix on one pattern.
+    """The pinned step matrix on one pattern.
 
     Rows and columns share the slices of _layout: columns are ordered
     [velocity, trace, pressure] and rows carry the momentum, trace-jump
@@ -313,13 +314,21 @@ class _StepMatrix:
 
         [[m MU + beta J + eps BU Mi BU^T, eps BU Mi TH^T, DP^T],
          [TH Mi BU^T,                     TH Mi TH^T,     0   ],
-         [-DP,                            0,              0   ]]
+         [-DP,                            0,              P   ]]
 
     with ``m = sigma/dt + alpha``: the gradient equation ``MW L = se (BU^T
     u + TH^T uhat)`` eliminated from the full system, and the trace-jump
     rows ``TH L = 0`` divided by ``se`` so that they do not degenerate as
     ``eps`` shrinks. In the Darcy limit it reduces to [[m MU + beta J,
-    DP^T], [-DP, 0]]. Constant pressures span the nullspace on both sides.
+    DP^T], [-DP, P]].
+
+    Constant pressures ``c1 = p_const`` span the nullspace of the
+    unpinned matrix on both sides, and the mass rows of every right-hand
+    side are zero. The pin makes the matrix nonsingular: the mass row of
+    the pressure coefficient ``ip = argmax |c1|`` is replaced by the unit
+    entry ``P = e_ip e_ip^T``. The dropped row is the ``c1``-weighted sum
+    of the other mass rows, so the pinned system has the solution of the
+    singular one with ``x_p[ip] = 0``.
 
     The pattern is the union of the block patterns, including that of
     the drag matrix ``drag`` when there is one, and ``A`` keeps it for
@@ -337,11 +346,16 @@ class _StepMatrix:
         # condensed patterns; every entry is one of their slots, which
         # update writes.
         uu = _ones(ops.MU) if drag is None else _ones(ops.MU) + _ones(drag)
+        dp, ip = ops.pressure.global_dim, int(np.argmax(np.abs(ops.p_const)))
+        mass = -ops.DP
+        mass.data[mass.indptr[ip] : mass.indptr[ip + 1]] = 0.0
+        mass.eliminate_zeros()
+        pin = sp.csr_matrix(([1.0], ([ip], [ip])), shape=(dp, dp))
         if se == 0.0:
             fixed = sp.csr_matrix(ops.MU.shape)
             blocks = [
                 [uu, ops.DP.T],
-                [-ops.DP, None],
+                [mass, pin],
             ]
         else:
             # K = [BU; TH] Mi [BU^T, TH^T], split at the velocity/trace border.
@@ -352,7 +366,7 @@ class _StepMatrix:
             blocks = [
                 [uu, eps * K[:du, du:], ops.DP.T],
                 [K[du:, :du], K[du:, du:], None],
-                [-ops.DP, None, None],
+                [mass, None, pin],
             ]
         A = sp.bmat(blocks, format="csr")
         A.sum_duplicates()
@@ -397,16 +411,7 @@ class _StepMatrix:
 
 
 class _PinnedSolver:
-    """Solves A x = b for the singular step matrix with zero-mean pressure.
-
-    Constant pressures ``c1 = p_const`` span A's nullspace through both
-    the pressure columns and the mass-equation rows. The mass rows of
-    every right-hand side are zero, so A x = b is consistent and fixes x
-    up to a constant pressure. The solve replaces the mass row of the
-    pressure coefficient with the largest constant-pressure entry by a
-    unit pin on that coefficient, which makes the matrix nonsingular: the
-    dropped row is the ``c1``-weighted sum of the others. Each correction
-    is then shifted by a multiple of ``c1`` to zero mean ``<mp, x_p>``.
+    """Solves A x = b for the pinned step matrix of _StepMatrix.
 
     The factorization is reused across nearby systems, since the drag
     Jacobian drifts slowly between sweeps and steps: ``solve`` refines
@@ -414,26 +419,13 @@ class _PinnedSolver:
     contracting. Refinement starts from a given guess, normally the
     previous sweep's solution, so it only has to remove the residual of
     that guess; a guess that already meets the tolerance costs no
-    triangular solve. Residuals are always measured against the exact
-    system ``b - A x`` of the current matrix. ``factor_count`` and
-    ``refine_count`` count factorizations and refinement passes (one
-    triangular solve each).
-
-    Every ``A`` passed in must share one sparsity pattern (that of
-    _StepMatrix). The pinned matrix is A's pattern with row ``pin``
-    replaced by the single diagonal entry ``(pin, pin)``, held in CSC
-    form together with the slot of A.data each stored entry copies; both
-    are built at the first factorization, and every factorization after
-    it only copies values.
+    triangular solve. Residuals are always measured against the system
+    ``b - A x`` of the current matrix, the one that is factored.
+    ``factor_count`` and ``refine_count`` count factorizations and
+    refinement passes (one triangular solve each).
     """
 
-    def __init__(self, ops: Operators, se: float):
-        self.sl_p = _layout(ops, se)[2]
-        self.mp = ops.mp
-        self.c1 = ops.p_const
-        self.omega = float(self.mp @ self.c1)
-        self._pin = self.sl_p.start + int(np.argmax(np.abs(self.c1)))
-        self._pinned = None
+    def __init__(self):
         self.lu = None
         self.factor_count = 0
         self.refine_count = 0
@@ -442,27 +434,9 @@ class _PinnedSolver:
         """Drop the held factorization (call when the matrix jumps)."""
         self.lu = None
 
-    def _pin_pattern(self, A: sp.csr_matrix):
-        lo, hi = A.indptr[self._pin], A.indptr[self._pin + 1]
-        indptr = A.indptr.copy()
-        indptr[self._pin + 1 :] -= hi - lo - 1
-        indices = np.r_[A.indices[:lo], self._pin, A.indices[hi:]].astype(A.indices.dtype)
-        # The conversion to CSC carries the A.data slot of every entry
-        # along; slot nnz marks the pin.
-        slots = np.r_[0:lo, A.nnz, hi : A.nnz].astype(np.intc)
-        P = sp.csr_matrix((slots, indices, indptr), shape=A.shape).tocsc()
-        self._pin_slot = int(np.flatnonzero(P.data == A.nnz)[0])
-        P.data[self._pin_slot] = 0
-        self._src = P.data
-        self._pinned = sp.csc_matrix((np.zeros(P.nnz), P.indices, P.indptr), shape=A.shape)
-
     def _refactor(self, A: sp.csr_matrix):
-        if self._pinned is None:
-            self._pin_pattern(A)
-        np.take(A.data, self._src, out=self._pinned.data)
-        self._pinned.data[self._pin_slot] = 1.0
         try:
-            self.lu = splu(self._pinned)
+            self.lu = splu(A.tocsc())
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
         self.factor_count += 1
@@ -471,31 +445,27 @@ class _PinnedSolver:
         """Returns x and the relative residual of A x = b.
 
         ``a_norm`` is the largest absolute row sum of ``A``; ``x0`` is the
-        starting guess, whose pressure must have zero mean.
+        starting guess.
         """
         if self.lu is None:
             self._refactor(A)
             fresh = True
         else:
             fresh = False
-        anorm = a_norm + float(np.abs(self.mp).sum())
         bnorm = float(np.linalg.norm(b))
         x = np.array(x0, dtype=float)
 
         def residual():
             r = b - A @ x
-            return r, float(np.linalg.norm(r)), bnorm + anorm * np.linalg.norm(x) + 1e-300
+            return r, float(np.linalg.norm(r)), bnorm + a_norm * np.linalg.norm(x) + 1e-300
 
         r, rn, scale = residual()
         rn_prev = np.inf
         for _ in range(12):
             if rn <= 1e-13 * scale:
                 break
-            r[self._pin] = 0.0
-            dx = self.lu.solve(r)
+            x += self.lu.solve(r)
             self.refine_count += 1
-            dx[self.sl_p] -= float(self.mp @ dx[self.sl_p]) / self.omega * self.c1
-            x += dx
             r, rn, scale = residual()
             if rn <= 1e-13 * scale:
                 break
@@ -559,7 +529,7 @@ def run_transient(
     u_prev2 = None
     x = np.zeros(sl_p.stop)
     reports: list[StepReport] = []
-    stepper = _PinnedSolver(ops, se)
+    stepper = _PinnedSolver()
     drag_mass = DragMassAssembler(U) if params.beta != 0.0 else None
     matrix = None
 
@@ -634,6 +604,8 @@ def run_transient(
         )
 
     t_final = n_steps * dt
+    # The pinned pressure, shifted to zero mean.
+    p = x[sl_p] - float(ops.mp @ x[sl_p]) / float(ops.mp @ ops.p_const) * ops.p_const
     return TransientResult(
         ops=ops,
         params=params,
@@ -642,7 +614,7 @@ def run_transient(
         u=FieldCoefficients(U, u_prev, t=t_final),
         L=FieldCoefficients(W, L, t=t_final),
         uhat=FieldCoefficients(T, x[sl_t] if se > 0.0 else np.zeros(T.global_dim), t=t_final),
-        p=FieldCoefficients(P, x[sl_p], t=t_final),
+        p=FieldCoefficients(P, p, t=t_final),
         mu=0.0,
         reports=reports,
     )

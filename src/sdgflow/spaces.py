@@ -29,7 +29,6 @@ field once per edge class and once on all triangles.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,17 +92,12 @@ class EdgeTables:
     leg: np.ndarray  # (ne, k+1, nq)
 
 
-# Tables per mesh, keyed by (kind, k, exactness). The weak keys let a
-# mesh and its tables be freed together once nothing else holds the mesh.
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _cached(kind: str, build, mesh: StaggeredMesh, k: int, exactness: int):
-    per_mesh = _TABLES.setdefault(mesh, {})
+    """Tables of one kind, kept on the mesh keyed by (kind, k, exactness)."""
     key = (kind, k, exactness)
-    if key not in per_mesh:
-        per_mesh[key] = build(mesh, k, exactness)
-    return per_mesh[key]
+    if key not in mesh.tables:
+        mesh.tables[key] = build(mesh, k, exactness)
+    return mesh.tables[key]
 
 
 def tri_tables(mesh: StaggeredMesh, k: int, exactness: int) -> TriTables:

@@ -1,11 +1,19 @@
-"""Mesh construction, file parsing, and staggered-submesh invariants."""
+"""Mesh construction, file parsing, and staggered-submesh invariants.
 
+The array construction must reproduce the loop construction kept in
+``_oracles`` exactly, raise the same errors, and make a number of Python
+calls that does not grow with the mesh.
+"""
+
+import dataclasses
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import _oracles as ref
 from sdgflow.mesh import (
     DUAL,
     PRIMAL_BOUNDARY,
@@ -61,6 +69,12 @@ def test_rectangle_edge_counts(n, total, interior):
     assert len(mesh.edge_vertices) == total
     assert (~mesh.boundary_edge).sum() == interior
     assert (total, interior) == grid_counts(n)
+
+
+def test_rectangle_cells_row_by_row():
+    polys = build_rectangle_mesh(3, 2).polygons
+    low_left = [j * 4 + i for j in range(2) for i in range(3)]
+    np.testing.assert_array_equal(polys, [[v, v + 1, v + 5, v + 4] for v in low_left])
 
 
 def test_rectangle_invalid_arguments():
@@ -271,3 +285,166 @@ def test_refinement_halves_h():
     h2 = build_staggered(build_rectangle_mesh(2, 2)).h
     h4 = build_staggered(build_rectangle_mesh(4, 4)).h
     assert h4 == pytest.approx(h2 / 2)
+
+
+def honeycomb(n, amp=0.15):
+    """Hexagon-dominant tiling of the unit square in n rows of bricks.
+
+    Row j holds n bricks, shifted by half a brick on odd rows, where the
+    two end bricks are halved into quadrilaterals. Every full brick spans
+    three vertex columns at the bottom and three at the top; interior
+    vertex rows zigzag by ``amp / n``, which bends each full brick into a
+    convex hexagon.
+    """
+    cols, rows = np.meshgrid(np.arange(2 * n + 1), np.arange(n + 1))
+    lift = np.where((rows > 0) & (rows < n), amp / n * (-1.0) ** (cols + rows), 0.0)
+    verts = np.column_stack([(cols / (2 * n)).ravel(), (rows / n + lift).ravel()])
+
+    def vid(c, r):
+        return r * (2 * n + 1) + c
+
+    polys = []
+    for j in range(n):
+        cuts = sorted({0, 2 * n, *range(j % 2, 2 * n + 1, 2)})
+        for c0, c1 in zip(cuts[:-1], cuts[1:]):
+            bottom = [vid(c, j) for c in range(c0, c1 + 1)]
+            top = [vid(c, j + 1) for c in range(c1, c0 - 1, -1)]
+            polys.append(bottom + top)
+    return verts, polys
+
+
+def wheel(m=9, seed=0):
+    """An irregular m-gon ringed by m quadrilaterals to an outer m-gon."""
+    rng = np.random.default_rng(seed)
+    angle = 2 * np.pi * (np.arange(m) + rng.uniform(-0.2, 0.2, m)) / m
+    unit = np.column_stack([np.cos(angle), np.sin(angle)])
+    radius = np.concatenate([1 + rng.uniform(-0.1, 0.1, m), 2 + rng.uniform(-0.1, 0.1, m)])
+    verts = np.vstack([unit, unit]) * radius[:, None]
+    ring = [[k, m + k, m + (k + 1) % m, (k + 1) % m] for k in range(m)]
+    return verts, [list(range(m)), *ring]
+
+
+def _primal_input(mesh, inner):
+    """Vertices, polygons and (when ``inner``) interior points of a mesh."""
+    primal = mesh.primal
+    points = mesh.points[primal.n_vertices :] if inner else None
+    return primal.vertices, primal.polygons, points
+
+
+def _squares(n):
+    primal = build_rectangle_mesh(n, n)
+    return primal.vertices, primal.polygons, None
+
+
+def _trapezoids(n, inner):
+    from test_setup import trapezoid_mesh
+
+    return _primal_input(trapezoid_mesh(n), inner)
+
+
+def _jittered(n, seed=0, amp=0.15):
+    from test_spaces import perturbed_mesh
+
+    return _primal_input(perturbed_mesh(n, seed=seed, amp=amp), inner=False)
+
+
+MESH_INPUTS = {
+    **{f"squares{n}": (lambda n=n: _squares(n)) for n in (1, 2, 3, 4, 8, 16)},
+    **{f"jittered4-seed{s}": (lambda s=s: _jittered(4, seed=s)) for s in range(4)},
+    "jittered8-amp0.3": lambda: _jittered(8, amp=0.3),
+    **{
+        f"trapezoids{n}-{where}": (lambda n=n, inner=inner: _trapezoids(n, inner))
+        for n in (4, 8)
+        for where, inner in (("off-centroid", True), ("centroids", False))
+    },
+    "honeycomb": lambda: (*honeycomb(4), None),
+    "wheel9": lambda: (*wheel(9), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESH_INPUTS))
+def test_array_construction_matches_loop_reference(name):
+    verts, polys, inner = MESH_INPUTS[name]()
+    primal = PrimalMesh(verts, polys)
+    want_primal = ref.LoopPrimalMesh(verts, polys)
+    mesh = build_staggered(primal, inner)
+    want = ref.loop_build_staggered(want_primal, inner)
+    for f in dataclasses.fields(mesh):
+        if f.name in ("primal", "tables"):
+            continue
+        got, exp = getattr(mesh, f.name), getattr(want, f.name)
+        if f.name == "h":
+            assert got == exp
+            continue
+        assert got.dtype == exp.dtype and got.shape == exp.shape, f.name
+        assert np.array_equal(got, exp), f.name
+    np.testing.assert_array_equal(primal.edge_vertices, want_primal.edge_vertices)
+    np.testing.assert_array_equal(primal.boundary_edge, want_primal.boundary_edge)
+    assert primal.edge_ids == want_primal.edge_ids
+    assert len(primal.polygons) == len(want_primal.polygons)
+    for got, exp in zip(primal.polygons, want_primal.polygons):
+        np.testing.assert_array_equal(got, exp)
+    quality, want_quality = mesh_quality(mesh), ref.loop_mesh_quality(want)
+    assert quality.h == want_quality.h
+    np.testing.assert_allclose(quality.star_ratio, want_quality.star_ratio, rtol=1e-13)
+    np.testing.assert_allclose(quality.edge_ratio, want_quality.edge_ratio, rtol=1e-13)
+
+
+SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+
+DEFECTS = {
+    "non-manifold": (
+        [[0, 0], [1, 0], [1, 1], [0, 1], [-1, 0.5]],
+        [[0, 1, 2], [0, 2, 3], [0, 2, 4]],
+        None,
+    ),
+    "clockwise": (SQUARE, [[0, 3, 2, 1]], None),
+    "same direction": (SQUARE, [[0, 1, 2, 3], [0, 1, 2, 3]], None),
+    "self-intersecting": ([[0, 0], [2, 0], [0, 1.5], [2, 1.5], [1, 4]], [[0, 1, 3, 2, 4]], None),
+    "bad interior point": (
+        build_rectangle_mesh(2, 1).vertices,
+        build_rectangle_mesh(2, 1).polygons,
+        [[0.25, 0.5], [5.0, 5.0]],
+    ),
+    "repeated vertex": (SQUARE, [[0, 1, 2, 3], [1, 2, 1]], None),
+    "missing vertex": (SQUARE, [[0, 1, 2, 3], [1, 4, 2]], None),
+    "too few vertices": (SQUARE, [[0, 1, 2, 3], [1, 2]], None),
+    "interior point count": (SQUARE, [[0, 1, 2, 3]], [[0.5, 0.5], [0.2, 0.2]]),
+}
+
+
+def _failure(build_primal, build, verts, polys, inner):
+    with pytest.raises(ValueError) as info:
+        build(build_primal(verts, polys), inner)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+def test_defects_raise_like_loop_reference(name):
+    got = _failure(PrimalMesh, build_staggered, *DEFECTS[name])
+    want = _failure(ref.LoopPrimalMesh, ref.loop_build_staggered, *DEFECTS[name])
+    assert got == want
+
+
+def _python_calls(n):
+    """Python and C-function call events while building an n-by-n square
+    mesh and its staggered submesh."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        build_staggered(build_rectangle_mesh(n, n))
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_mesh_python_calls_do_not_grow_with_mesh():
+    _python_calls(2)  # warm lazy imports
+    coarse, fine = _python_calls(4), _python_calls(16)
+    assert fine <= 1.25 * coarse, (coarse, fine)
