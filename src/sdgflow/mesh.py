@@ -477,8 +477,10 @@ def build_staggered(primal: PrimalMesh, interior_points=None) -> StaggeredMesh:
     ).astype(np.int8)
     ne = len(edge_points)
 
-    # Adjacent triangles of every edge, lowest index first; every edge
-    # has at least one, the triangle it was numbered from.
+    # Adjacent triangles of every edge, lowest index first. A primal
+    # edge has one triangle per polygon side on it, which PrimalMesh
+    # caps at two (one on the boundary), and a dual edge (v, nu) has the
+    # two triangles of the sides into and out of v.
     pair_edge = np.concatenate([primal.side_edge, tri_dual.ravel()])
     pair_tri = np.concatenate([np.arange(len(tri)), np.arange(len(tri)).repeat(2)])
     order = np.lexsort((pair_tri, pair_edge))
@@ -504,14 +506,10 @@ def build_staggered(primal: PrimalMesh, interior_points=None) -> StaggeredMesh:
     away = np.einsum("ed,ed->e", n, tri_centroids[edge_tri[:, 0]] - mid)
     edge_normal = np.where((away > 0)[:, None], -n, n)
     beyond = np.einsum("ed,ed->e", edge_normal, tri_centroids[edge_tri[:, 1]] - mid)
-    wrong_count = count != np.where(edge_class == PRIMAL_BOUNDARY, 1, 2)
     same_side = two & (beyond <= 0)
-    if (wrong_count | same_side).any():
-        e = np.argmax(wrong_count | same_side)
-        if not wrong_count[e]:
-            raise MeshTopologyError(f"edge {e}: adjacent triangles lie on the same side")
-        kind = "boundary" if edge_class[e] == PRIMAL_BOUNDARY else "interior"
-        raise MeshTopologyError(f"{kind} edge {e} has {count[e]} triangles")
+    if same_side.any():
+        e = np.argmax(same_side)
+        raise MeshTopologyError(f"edge {e}: adjacent triangles lie on the same side")
     edge_sign = np.column_stack([np.ones(ne), np.where(two, -1.0, 0.0)])
     edge_tangent = np.column_stack([-edge_normal[:, 1], edge_normal[:, 0]])
 

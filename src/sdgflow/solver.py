@@ -497,8 +497,13 @@ def run_transient(
     ----------
     ops : Operators
     params : ModelParams
-    f : callable or None
-        Momentum source; called as ``f(points, t)`` with (n, 2) points.
+    f : callable, sequence of (a, g) pairs, or None
+        Momentum source. A callable is called as ``f(points, t)`` with
+        (n, 2) points, and its load is assembled on every step. Pairs
+        give a source separated in time, ``f(x, t) = sum a(t) g(x)``
+        with ``a(t)`` a scalar and ``g(points)`` a field: the load of
+        each ``g`` is assembled once, and a step only combines them.
+        None is no source.
     dt, n_steps : float, int
         Uniform step size and step count.
     scheme : str
@@ -532,6 +537,13 @@ def run_transient(
     stepper = _PinnedSolver()
     drag_mass = DragMassAssembler(U) if params.beta != 0.0 else None
     matrix = None
+    if f is None:
+        load = lambda t: 0.0
+    elif callable(f):
+        load = lambda t: assemble_load(U, f, t=t)
+    else:
+        terms = [(a, assemble_load(U, g)) for a, g in f]
+        load = lambda t: sum(a(t) * b for a, b in terms)
 
     for step in range(1, n_steps + 1):
         t_new = step * dt
@@ -543,9 +555,8 @@ def run_transient(
         else:
             sigma = 1.0
             hist = ops.MU @ (u_prev / dt)
-        rhs_u = hist if f is None else hist + assemble_load(U, f, t=t_new)
         b = np.zeros(sl_p.stop)
-        b[sl_u] = rhs_u
+        b[sl_u] = hist + load(t_new)
 
         m = sigma / dt + params.alpha
         if u_prev2 is None:

@@ -2,8 +2,10 @@
 
 The exact solution is a divergence-free no-slip velocity with a
 sinusoidal time factor and a mean-zero pressure on the unit square. The
-forcing is hand-coded from its analytic derivatives; the test suite
-cross-checks every derivative against finite differences.
+forcing is hand-coded from its analytic derivatives as a sum of spatial
+fields times time factors (see ManufacturedProblem.forcing_terms), so a
+run assembles the load of each field once; the test suite cross-checks
+every derivative against finite differences.
 """
 
 from __future__ import annotations
@@ -52,6 +54,33 @@ def _gppp(x):
     return 24.0 * x - 12.0
 
 
+def _u0(pts):
+    """Spatial factor of the velocity."""
+    pts = np.asarray(pts, dtype=float)
+    x, y = pts[:, 0], pts[:, 1]
+    return np.column_stack(
+        [np.pi * _g(x) * np.sin(TWO_PI * y), -_gp(x) * np.sin(np.pi * y) ** 2]
+    )
+
+
+def _lap_u0(pts):
+    pts = np.asarray(pts, dtype=float)
+    x, y = pts[:, 0], pts[:, 1]
+    wy = np.sin(np.pi * y) ** 2
+    return np.column_stack(
+        [
+            np.pi * np.sin(TWO_PI * y) * (_gpp(x) - 4.0 * np.pi**2 * _g(x)),
+            -(_gppp(x) * wy + 2.0 * np.pi**2 * _gp(x) * np.cos(TWO_PI * y)),
+        ]
+    )
+
+
+def _grad_p0(pts):
+    pts = np.asarray(pts, dtype=float)
+    x, y = pts[:, 0], pts[:, 1]
+    return np.column_stack([np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y)])
+
+
 @dataclass(frozen=True)
 class ManufacturedProblem:
     """Closed-form fields and the forcing they induce.
@@ -65,15 +94,7 @@ class ManufacturedProblem:
     final_time: float = 0.1
 
     def velocity(self, pts, t):
-        pts = np.asarray(pts, dtype=float)
-        x, y = pts[:, 0], pts[:, 1]
-        s = np.sin(TWO_PI * t)
-        return np.column_stack(
-            [
-                np.pi * _g(x) * np.sin(TWO_PI * y) * s,
-                -_gp(x) * np.sin(np.pi * y) ** 2 * s,
-            ]
-        )
+        return _u0(pts) * np.sin(TWO_PI * t)
 
     def pressure(self, pts, t):
         pts = np.asarray(pts, dtype=float)
@@ -95,32 +116,31 @@ class ManufacturedProblem:
     def scaled_gradient(self, pts, t):
         return np.sqrt(self.params.epsilon) * self.velocity_gradient(pts, t)
 
-    def forcing(self, pts, t):
-        pts = np.asarray(pts, dtype=float)
-        x, y = pts[:, 0], pts[:, 1]
-        s = np.sin(TWO_PI * t)
-        c = np.cos(TWO_PI * t)
-        sy, wy = np.sin(TWO_PI * y), np.sin(np.pi * y) ** 2
-        u1 = np.pi * _g(x) * sy * s
-        u2 = -_gp(x) * wy * s
-        speed = np.hypot(u1, u2)
-        lap1 = np.pi * sy * s * (_gpp(x) - 4.0 * np.pi**2 * _g(x))
-        lap2 = -(_gppp(x) * wy + 2.0 * np.pi**2 * _gp(x) * np.cos(TWO_PI * y)) * s
+    def forcing_terms(self):
+        """The forcing as ``[(a, g), ...]`` with ``f(x, t) = sum a(t) g(x)``.
+
+        With ``u = s u0`` and ``p = c p0``, ``s = sin(2 pi t)`` and ``c =
+        cos(2 pi t)``, the momentum equation has three terms: ``c (2 pi
+        u0 + grad p0)``, ``s (alpha u0 - eps lap u0)`` and the drag ``s|s|
+        beta |u0| u0``, since ``|u| u = s|s| |u0| u0``.
+        """
         eps, alpha, beta = self.params.epsilon, self.params.alpha, self.params.beta
-        drag = alpha + beta * speed
-        f1 = (
-            TWO_PI * np.pi * _g(x) * sy * c
-            - eps * lap1
-            + drag * u1
-            + np.cos(x) * np.cos(y) * c
-        )
-        f2 = (
-            -TWO_PI * _gp(x) * wy * c
-            - eps * lap2
-            + drag * u2
-            - np.sin(x) * np.sin(y) * c
-        )
-        return np.column_stack([f1, f2])
+
+        def sin_t(t):
+            return np.sin(TWO_PI * t)
+
+        def drag(pts):
+            u0 = _u0(pts)
+            return beta * np.hypot(u0[:, 0], u0[:, 1])[:, None] * u0
+
+        return [
+            (lambda t: np.cos(TWO_PI * t), lambda pts: TWO_PI * _u0(pts) + _grad_p0(pts)),
+            (sin_t, lambda pts: alpha * _u0(pts) - eps * _lap_u0(pts)),
+            (lambda t: sin_t(t) * abs(sin_t(t)), drag),
+        ]
+
+    def forcing(self, pts, t):
+        return sum(a(t) * g(pts) for a, g in self.forcing_terms())
 
 
 def error_l2(fc: FieldCoefficients, exact, t: float) -> float:
@@ -252,7 +272,7 @@ def run_manufactured(
     res = run_transient(
         ops,
         params,
-        prob.forcing,
+        prob.forcing_terms(),
         dt=final_time / n_steps,
         n_steps=n_steps,
         scheme=scheme,

@@ -18,6 +18,8 @@ CRITERIA = {
     "interpolants, monotone drag, zero forcing, energy bound, linear "
     "single-sweep",
     6: "global space dimensions on the 2x2 square mesh",
+    7: "pressure robustness: a gradient source gives a velocity at roundoff "
+    "relative to the pressure",
 }
 
 _outcomes = {}

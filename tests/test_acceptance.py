@@ -1,5 +1,6 @@
 """Acceptance gate: reference convergence tables, parameter robustness,
-and structure properties, each at its stated tolerance.
+structure properties and pressure robustness, each at its stated
+tolerance.
 
 Every test carries a ``criterion`` marker; conftest.py turns the results
 into one PASS/FAIL line per criterion at the end of the run. Tests of
@@ -17,6 +18,7 @@ from sdgflow.forms import (
     apply_divergence_adjoint,
     assemble_divergence,
     assemble_divergence_adjoint,
+    assemble_mass,
 )
 from sdgflow.mesh import build_rectangle_mesh, build_staggered
 from sdgflow.solver import (
@@ -264,3 +266,45 @@ def test_global_dimensions_on_square_mesh():
         for kind in (VELOCITY, GRADIENT, PRESSURE, TRACE)
     ]
     assert dims == [64, 176, 40, 32]
+
+
+def grad_phi(pts):
+    """Gradient of phi = sin(x) cos(y)."""
+    x, y = pts[:, 0], pts[:, 1]
+    return np.column_stack([np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y)])
+
+
+@pytest.fixture(scope="module")
+def gradient_source_ops():
+    meshes = {"squares": lambda: build_staggered(build_rectangle_mesh(8, 8))}
+    meshes["perturbed"] = lambda: perturbed_mesh(8)
+    cache = {}
+
+    def get(name, k):
+        if (name, k) not in cache:
+            cache[name, k] = build_operators(meshes[name](), k)
+        return cache[name, k]
+
+    return get
+
+
+@pytest.mark.criterion(7)
+@pytest.mark.parametrize("lam", [1.0, 1e3])
+@pytest.mark.parametrize("beta", [0.0, 100.0])
+@pytest.mark.parametrize("eps", [1.0, 1e-4, 0.0])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mesh", ["squares", "perturbed"])
+def test_gradient_source_leaves_velocity_at_rest(
+    gradient_source_ops, mesh, k, eps, beta, lam
+):
+    # f = lam grad(phi) is balanced by the pressure lam phi alone, so the
+    # exact velocity is zero; a pressure-robust scheme keeps the discrete
+    # one at roundoff however large the pressure.
+    ops = gradient_source_ops(mesh, k)
+    res = run_transient(
+        ops, ModelParams(eps, 1.0, beta), [(lambda t: lam, grad_phi)], dt=0.05, n_steps=2
+    )
+    u, p = res.u.values, res.p.values
+    u_l2 = np.sqrt(u @ (ops.MU @ u))
+    p_l2 = np.sqrt(p @ (assemble_mass(ops.pressure) @ p))
+    assert u_l2 <= 1e-12 * p_l2

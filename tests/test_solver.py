@@ -16,7 +16,7 @@ from sdgflow.solver import (
     run_transient,
 )
 from sdgflow.spaces import FieldCoefficients, SMOOTH_DEGREE
-from sdgflow.verify import run_manufactured
+from sdgflow.verify import ManufacturedProblem, run_manufactured
 
 from _oracles import reference_transient
 from test_spaces import perturbed_mesh
@@ -321,3 +321,39 @@ def test_step_system_leaves_out_the_scaled_gradient(monkeypatch, eps):
     if eps > 0.0:
         n += ops.trace.global_dim
     assert shapes and all(shape == (n, n) for shape in shapes)
+
+
+@pytest.fixture(scope="module")
+def perturbed_ops4():
+    return build_operators(perturbed_mesh(4), 1)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.0])
+@pytest.mark.parametrize("scheme", [BACKWARD_EULER, BDF2])
+@pytest.mark.parametrize("beta", [0.0, 1e4])
+def test_separated_source_matches_callable(perturbed_ops4, beta, scheme, eps):
+    # Loads assembled once per term and combined per step give the run of
+    # the load assembled from the summed source on every step. Past t =
+    # 0.5, sin(2 pi t) < 0 exercises the s|s| drag factor.
+    params = ModelParams(eps, 1.0, beta)
+    prob = ManufacturedProblem(params, final_time=0.8)
+    kw = dict(dt=0.1, n_steps=8, scheme=scheme)
+    sep = run_transient(perturbed_ops4, params, prob.forcing_terms(), **kw)
+    ref = run_transient(perturbed_ops4, params, prob.forcing, **kw)
+    for name in ("u", "L", "p"):
+        got, want = getattr(sep, name).values, getattr(ref, name).values
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
+
+
+def test_manufactured_run_assembles_each_load_once(monkeypatch):
+    # One load per forcing term for the run, not one per step.
+    calls = []
+    assemble_load = solver.assemble_load
+
+    def counting_load(*args, **kwargs):
+        calls.append(kwargs.get("t"))
+        return assemble_load(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_load", counting_load)
+    run_manufactured(4, 16, ModelParams(1.0, 1.0, 1.0))
+    assert len(calls) <= 3
