@@ -6,7 +6,8 @@ Fails unless, for every run, the last line of standard output parses
 as JSON with ``"correct": true`` and ``"failed": 0``, an untraced run
 reports every end-to-end metric of BENCHMARK.json, and standard error
 has no ``not traced, absent`` line (a traced entry point the program no
-longer offers).
+longer offers). For every traced run it prints one line with the
+solver's counts (COUNTS below); they are output only, not checked.
 
 Usage (from the repository root): python3 .github/scripts/bench_smoke.py
 """
@@ -19,6 +20,14 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
+# Per-layer counts printed for every traced run.
+COUNTS = (
+    "solver.sweeps",
+    "solver.factorizations",
+    "solver.trisolves",
+    "forms.drag_mass_calls",
+    "solver.lu_nnz",
+)
 
 
 def check(workload: str, trace: int, end_to_end: list) -> list:
@@ -51,10 +60,14 @@ def check(workload: str, trace: int, end_to_end: list) -> list:
         problems.append(
             f"{where}: correct = {result.get('correct')}, failed = {result.get('failed')}"
         )
+    metrics = result.get("metrics", {})
     if trace == 0:
-        absent = [name for name in end_to_end if name not in result.get("metrics", {})]
+        absent = [name for name in end_to_end if name not in metrics]
         if absent:
             problems.append(f"{where}: end-to-end metrics absent: {', '.join(absent)}")
+    else:
+        counts = (f"{name} {metrics.get(name, {}).get('value', 'absent')}" for name in COUNTS)
+        print(f"{workload}: " + ", ".join(counts))
     return problems
 
 

@@ -186,13 +186,16 @@ class DragMassAssembler:
     whose second term is taken as zero where ``u`` vanishes (the weight's
     norm is at most ``2 |u|``, so ``J(0) = 0`` with no regularization).
     Both use the same quadrature, on which ``J(u) u = 2 D(u) u`` holds
-    exactly.
+    exactly; :func:`apply_drag` gives ``D(u) u`` without a matrix.
 
-    The quadrature tables, per-triangle expansion blocks and the CSR
-    pattern are precomputed once, since the drag iteration needs a fresh
-    matrix every sweep. Every call returns a canonical CSR matrix on the
-    same ``indptr`` and ``indices``, so callers may scatter its ``data``
-    into a larger pattern through a fixed index map.
+    The basis products ``val_m val_n w_q`` of every triangle, the
+    per-triangle expansion blocks and the CSR pattern are precomputed
+    once, since the drag iteration needs a fresh matrix every sweep; a
+    call contracts the three distinct entries of the symmetric pointwise
+    weight with the products in one batched product. Every call returns
+    a canonical CSR matrix on the same ``indptr`` and ``indices``, so
+    callers may scatter its ``data`` into a larger pattern through a
+    fixed index map.
     """
 
     def __init__(self, space: DofSpace):
@@ -201,8 +204,14 @@ class DragMassAssembler:
         self.space = space
         ttab = tri_tables(space.mesh, space.k, enhanced_degree(space.k))
         self._val = ttab.val
-        self._valT = np.ascontiguousarray(ttab.val.swapaxes(1, 2))
-        self._w = ttab.w
+        nt, nk, nq = ttab.val.shape
+        # P[t, q, (m, n)] = val_m val_n w_q.
+        self._products = np.einsum("tmq,tnq,tq->tqmn", ttab.val, ttab.val, ttab.w)
+        self._products = self._products.reshape(nt, nq, nk * nk)
+        # Position in the contracted entries (s, m, n) of every broken
+        # block entry ((c, m), (d, n)), with s = c + d.
+        entry = np.arange(3 * nk * nk).reshape(3, nk, nk)[[[0, 1], [1, 2]]]
+        self._block_index = entry.transpose(0, 2, 1, 3).ravel()
         self._Z = space.local_E
         self._ZT = np.ascontiguousarray(self._Z.swapaxes(1, 2))
         # Each local entry (t, l, j) lands in the slot of (dof_map[t, l],
@@ -224,24 +233,42 @@ class DragMassAssembler:
         coeffs = np.asarray(coeffs, dtype=float)
         broken = np.matmul(self._Z, coeffs[space.dof_map][:, :, None])
         vals = np.matmul(broken.reshape(nt, 2, nk), self._val)
-        speed = np.hypot(vals[:, 0], vals[:, 1])
-        # Pointwise 2x2 weight times the quadrature weight, as (nt, 2, 2, nq).
-        weight = np.zeros((nt, 2, 2, speed.shape[1]))
-        weight[:, 0, 0] = weight[:, 1, 1] = speed
+        speed = np.sqrt(vals[:, 0] ** 2 + vals[:, 1] ** 2)
+        # Entries (0, 0), (0, 1) and (1, 1) of the symmetric pointwise 2x2
+        # weight.
         if jacobian:
             inv = np.divide(1.0, speed, out=np.zeros_like(speed), where=speed > 0.0)
-            weight += vals[:, :, None] * vals[:, None] * inv[:, None, None]
-        weight *= self._w[:, None, None]
-        # Broken block B[t, (c, m), (d, n)] = sum_q val_m weight_cd val_n,
-        # then the local matrix Z^T B Z.
-        blocks = np.matmul(
-            self._val[:, None, None] * weight[:, :, :, None], self._valT[:, None, None]
-        )
-        blocks = blocks.transpose(0, 1, 3, 2, 4).reshape(nt, 2 * nk, 2 * nk)
+            weight = vals[:, [0, 0, 1]] * vals[:, [0, 1, 1]] * inv[:, None]
+            weight[:, ::2] += speed[:, None]
+        else:
+            weight = np.zeros((nt, 3, speed.shape[1]))
+            weight[:, ::2] = speed[:, None]
+        # Broken block B[t, (c, m), (d, n)] = sum_q weight_cd val_m val_n
+        # w_q, then the local matrix Z^T B Z.
+        entries = np.matmul(weight, self._products).reshape(nt, -1)
+        blocks = entries[:, self._block_index].reshape(nt, 2 * nk, 2 * nk)
         local = np.matmul(np.matmul(self._ZT, blocks), self._Z)
         data = np.bincount(self._slot, weights=local.ravel(), minlength=len(self._indices))
         n = space.global_dim
         return sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
+
+
+def apply_drag(u_space: DofSpace, coeffs: np.ndarray) -> np.ndarray:
+    """``D(u) u`` for the velocity with coefficients ``coeffs``, without
+    the matrix: the pointwise drag ``|u| u`` against every velocity test
+    function, on the quadrature of :class:`DragMassAssembler`, so it
+    equals ``DragMassAssembler(u_space)(coeffs) @ coeffs`` to roundoff."""
+    _check(u_space, VELOCITY, u_space.mesh, u_space.k)
+    nt, nk = u_space.mesh.n_triangles, u_space.nk
+    ttab = tri_tables(u_space.mesh, u_space.k, enhanced_degree(u_space.k))
+    Z, dof_map = u_space.local_E, u_space.dof_map
+    broken = np.matmul(Z, np.asarray(coeffs, dtype=float)[dof_map][:, :, None])
+    vals = np.matmul(broken.reshape(nt, 2, nk), ttab.val)
+    speed = np.sqrt(vals[:, 0] ** 2 + vals[:, 1] ** 2)
+    weighted = vals * (speed * ttab.w)[:, None]
+    tested = np.matmul(weighted, ttab.val.swapaxes(1, 2)).reshape(nt, 2 * nk, 1)
+    local = np.matmul(Z.swapaxes(1, 2), tested)
+    return np.bincount(dof_map.ravel(), weights=local.ravel(), minlength=u_space.global_dim)
 
 
 def assemble_velocity_gradient(u_space: DofSpace, w_space: DofSpace) -> sp.csr_matrix:

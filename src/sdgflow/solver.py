@@ -28,11 +28,23 @@ and the mass equations, whose right-hand side is zero, stay consistent.
 So the pressure needs a normalisation, not a Lagrange multiplier: the
 step matrix pins one pressure coefficient in place of its mass equation,
 which makes it nonsingular (see _StepMatrix), and the final pressure is
-shifted by a constant to zero mean. Factorizations are reused across sweeps and steps through
-iterative refinement, since the Jacobian drifts slowly between them, and
-are rebuilt only when refinement stops contracting. Refinement starts
-from the previous solution, so a sweep whose answer barely moved needs
-only one or two triangular solves.
+shifted by a constant to zero mean.
+
+Factorizations are reused across sweeps and steps through iterative
+refinement, since the Jacobian drifts slowly between them, and are
+rebuilt only when refinement stops contracting. A step's first sweep
+starts refinement from the step vector extrapolated from the last two
+steps, ``2 x_n - x_{n-1}`` (the initial state at the first step), and
+each later sweep from the previous sweep's solution, so a sweep whose
+answer barely moved needs only one or two triangular solves. Either way
+the start's velocity is the sweep's linearization point, where the
+residual of the Newton system is the nonlinear residual and needs no
+Jacobian: ``D(u) u`` is applied without a matrix (forms.apply_drag). A
+sweep whose start already meets the refinement stop, measured with the
+norm of the last assembled step matrix, is accepted as it stands, with
+increment 0.0 and no Jacobian, matrix write or triangular solve; that is
+how a converged step usually ends. Every other sweep, and the first of
+the run, which fixes the matrix pattern, assembles the Jacobian.
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ from scipy.sparse.linalg import splu
 
 from .forms import (
     DragMassAssembler,
+    apply_drag,
     assemble_divergence,
     assemble_divergence_adjoint,
     assemble_load,
@@ -72,6 +85,8 @@ from .spaces import (
 
 BACKWARD_EULER = "be"
 BDF2 = "bdf2"
+# Refinement stops once |b - A x| <= REFINE_TOL (|b| + |A|_inf |x|).
+REFINE_TOL = 1e-13
 
 
 class SolverError(RuntimeError):
@@ -225,7 +240,12 @@ def build_operators(mesh: StaggeredMesh, k: int) -> Operators:
 
 @dataclass(eq=False)
 class StepReport:
-    """Diagnostics of one time step."""
+    """Diagnostics of one time step.
+
+    ``increments`` holds every sweep's relative velocity increment; after
+    the first sweep of a run, a last increment of exactly 0.0 marks a
+    sweep accepted without a Jacobian (see the module docstring).
+    """
 
     step: int
     t: float
@@ -335,9 +355,11 @@ class _StepMatrix:
     the run. The blocks outside the velocity block are written once; in
     the velocity block ``update`` writes the fixed ``eps BU Mi BU^T`` part
     together with ``m MU`` when ``m`` changes and scatters ``beta J.data``
-    into it through a precomputed slot map on every call, with no sparse
+    into it through a precomputed slot map when given one, with no sparse
     arithmetic. The drag matrices passed to ``update`` must share the
-    pattern of ``drag``.
+    pattern of ``drag``. ``lin`` is the drag-free matrix on the same
+    pattern (``A`` itself when there is no drag), and ``norm`` the
+    largest absolute row sum of ``A`` as last written.
     """
 
     def __init__(self, ops: Operators, se: float, drag: sp.csr_matrix | None = None):
@@ -371,6 +393,9 @@ class _StepMatrix:
         A = sp.bmat(blocks, format="csr")
         A.sum_duplicates()
         self.A = A
+        self.lin = A
+        if drag is not None:
+            self.lin = sp.csr_matrix((A.data.copy(), A.indices, A.indptr), shape=A.shape)
         # Slot of every velocity-block entry in A.data, found among the
         # keys row * n + column of the momentum rows, which canonical CSR
         # sorts.
@@ -387,27 +412,44 @@ class _StepMatrix:
         self._fixed_slots, self._fixed_vals = slots(fixed), fixed.tocoo().data
         self._mass_slots, self._mass_vals = slots(ops.MU), ops.MU.tocoo().data
         self._drag_slots = slots(drag) if drag is not None else None
-        self._drag_base = None
+        # Only the momentum rows, which lead, change; the largest sum of
+        # the others is kept.
+        self._n_u = hi
+        self._other_norm = self._row_sums(hi, n)
         self._m = None
+        self.norm = None
+
+    def _row_sums(self, lo: int, hi: int) -> float:
+        """Largest absolute row sum of ``A`` over rows lo..hi-1 (none of
+        them is empty)."""
+        ptr = self.A.indptr
+        data = np.abs(self.A.data[ptr[lo] : ptr[hi]])
+        return float(np.add.reduceat(data, ptr[lo:hi] - ptr[lo]).max())
 
     def update(self, m: float, beta: float = 0.0, drag: sp.csr_matrix | None = None):
-        """Write ``m MU + beta drag`` and the fixed condensed part into the
-        velocity block of ``A``."""
-        data = self.A.data
+        """Write ``m MU`` and the fixed condensed part into the velocity
+        block of ``lin`` and ``A`` when ``m`` changes, and ``beta drag`` on
+        top of them into ``A`` when given one; ``norm`` follows."""
+        if m == self._m and drag is None:
+            return self.A
         if m != self._m:
-            data[self._uu_slots] = 0.0
-            data[self._fixed_slots] = self._fixed_vals
-            data[self._mass_slots] += m * self._mass_vals
-            if self._drag_slots is not None:
-                self._drag_base = data[self._drag_slots]
+            lin = self.lin.data
+            lin[self._uu_slots] = 0.0
+            lin[self._fixed_slots] = self._fixed_vals
+            lin[self._mass_slots] += m * self._mass_vals
+            if self.lin is not self.A:
+                self.A.data[:] = lin
             self._m = m
         if drag is not None:
-            data[self._drag_slots] = self._drag_base + beta * drag.data
+            slots = self._drag_slots
+            self.A.data[slots] = self.lin.data[slots] + beta * drag.data
+        self.norm = max(self._other_norm, self._row_sums(0, self._n_u))
         return self.A
 
-    def norm_inf(self) -> float:
-        """Largest absolute row sum of ``A`` (no row of the core is empty)."""
-        return float(np.add.reduceat(np.abs(self.A.data), self.A.indptr[:-1]).max())
+
+def _scale(b: np.ndarray, a_norm: float, x: np.ndarray) -> float:
+    """``|b| + |A|_inf |x|``, the scale of the refinement stop."""
+    return float(np.linalg.norm(b)) + a_norm * float(np.linalg.norm(x)) + 1e-300
 
 
 class _PinnedSolver:
@@ -417,10 +459,11 @@ class _PinnedSolver:
     Jacobian drifts slowly between sweeps and steps: ``solve`` refines
     with the factor it holds and refactors only when the residual stops
     contracting. Refinement starts from a given guess, normally the
-    previous sweep's solution, so it only has to remove the residual of
-    that guess; a guess that already meets the tolerance costs no
-    triangular solve. Residuals are always measured against the system
-    ``b - A x`` of the current matrix, the one that is factored.
+    extrapolated state or the previous sweep's solution, so it only has
+    to remove the residual of that guess; a guess that already meets the
+    tolerance costs no triangular solve. Residuals are always measured
+    against the system ``b - A x`` of the current matrix, the one that is
+    factored.
     ``factor_count`` and ``refine_count`` count factorizations and
     refinement passes (one triangular solve each).
     """
@@ -441,33 +484,31 @@ class _PinnedSolver:
             raise SolverError(f"factorization failed: {exc}") from exc
         self.factor_count += 1
 
-    def solve(self, A, a_norm, b, x0):
+    def solve(self, A, a_norm, b, x0, r0=None):
         """Returns x and the relative residual of A x = b.
 
         ``a_norm`` is the largest absolute row sum of ``A``; ``x0`` is the
-        starting guess.
+        starting guess and ``r0``, when given, its residual ``b - A x0``.
         """
         if self.lu is None:
             self._refactor(A)
             fresh = True
         else:
             fresh = False
-        bnorm = float(np.linalg.norm(b))
         x = np.array(x0, dtype=float)
 
-        def residual():
-            r = b - A @ x
-            return r, float(np.linalg.norm(r)), bnorm + a_norm * np.linalg.norm(x) + 1e-300
+        def measure(r):
+            return r, float(np.linalg.norm(r)), _scale(b, a_norm, x)
 
-        r, rn, scale = residual()
+        r, rn, scale = measure(b - A @ x if r0 is None else r0)
         rn_prev = np.inf
         for _ in range(12):
-            if rn <= 1e-13 * scale:
+            if rn <= REFINE_TOL * scale:
                 break
             x += self.lu.solve(r)
             self.refine_count += 1
-            r, rn, scale = residual()
-            if rn <= 1e-13 * scale:
+            r, rn, scale = measure(b - A @ x)
+            if rn <= REFINE_TOL * scale:
                 break
             if not fresh and rn > 0.125 * rn_prev:
                 self._refactor(A)
@@ -532,7 +573,11 @@ def run_transient(
     if u_prev.shape != (dim_u,):
         raise ValueError("initial velocity does not match the velocity space")
     u_prev2 = None
+    # The step vectors of the last two steps, both the initial state at
+    # the start.
     x = np.zeros(sl_p.stop)
+    x[sl_u] = u_prev
+    x_prev = x
     reports: list[StepReport] = []
     stepper = _PinnedSolver()
     drag_mass = DragMassAssembler(U) if params.beta != 0.0 else None
@@ -559,32 +604,43 @@ def run_transient(
         b[sl_u] = hist + load(t_new)
 
         m = sigma / dt + params.alpha
-        if u_prev2 is None:
-            u_guess = u_prev.copy()
-        else:
-            u_guess = 2.0 * u_prev - u_prev2
+        # The first sweep starts from the extrapolated step vector; at the
+        # first step, 2 x0 - x0 is x0 exactly.
+        x, x_prev = 2.0 * x - x_prev, x
         increments: list[float] = []
         worst_resid = 0.0
         factors0, passes0 = stepper.factor_count, stepper.refine_count
         for it in range(1, picard.max_iter + 1):
-            # Newton sweep: (m MU + beta J(u_k)) u_{k+1} = rhs + beta (J(u_k)
-            # - D(u_k)) u_k, where J(u) u = 2 D(u) u on the quadrature.
-            if params.beta != 0.0:
-                jac = drag_mass(u_guess, jacobian=True)
-                b_it = b.copy()
-                b_it[sl_u] += 0.5 * params.beta * (jac @ u_guess)
+            # Newton sweep about the velocity u of x, with A_lin the
+            # drag-free matrix: (A_lin + beta J(u)) x_new = b + beta (J(u) -
+            # D(u)) u = b + beta D(u) u, since J(u) u = 2 D(u) u on the
+            # quadrature. Its residual at x is the nonlinear residual F(x) =
+            # b - A_lin x - beta D(u) u, which needs no Jacobian: a sweep
+            # whose start already meets the refinement stop is accepted as
+            # it stands, with increment 0.
+            u = x[sl_u]
+            drag = params.beta * apply_drag(U, u) if params.beta != 0.0 else 0.0
+            b_it = b.copy()
+            b_it[sl_u] += drag
+            r, accepted = None, False
+            if matrix is not None:
+                matrix.update(m)
+                r = b - matrix.lin @ x
+                r[sl_u] -= drag
+                resid = float(np.linalg.norm(r)) / _scale(b_it, matrix.norm, x)
+                accepted = resid <= REFINE_TOL
+            if accepted:
+                inc = 0.0
             else:
-                jac, b_it = None, b
-            if matrix is None:
-                matrix = _StepMatrix(ops, se, jac)
-            A = matrix.update(m, params.beta, jac)
-            x, resid = stepper.solve(A, matrix.norm_inf(), b_it, x)
+                jac = drag_mass(u, jacobian=True) if params.beta != 0.0 else None
+                if matrix is None:
+                    matrix = _StepMatrix(ops, se, jac)
+                A = matrix.update(m, params.beta, jac)
+                x, resid = stepper.solve(A, matrix.norm, b_it, x, r)
+                u_new = x[sl_u]
+                inc = _l2(ops.MU, u_new - u) / max(_l2(ops.MU, u_new), 1e-300)
             worst_resid = max(worst_resid, resid)
-            u_new = x[sl_u]
-            diff = u_new - u_guess
-            inc = _l2(ops.MU, diff) / max(_l2(ops.MU, u_new), 1e-300)
             increments.append(inc)
-            u_guess = u_new
             if params.beta == 0.0 or inc <= picard.tol:
                 break
         else:
@@ -594,7 +650,7 @@ def run_transient(
             )
 
         u_prev2 = u_prev
-        u_prev = u_guess
+        u_prev = x[sl_u]
         # The velocity and trace slices lead the step vector.
         if se > 0.0:
             L = se * (ops.gradient_lift @ x[: sl_t.stop])

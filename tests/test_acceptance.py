@@ -28,7 +28,7 @@ from sdgflow.solver import (
     run_transient,
 )
 from sdgflow.spaces import GRADIENT, PRESSURE, TRACE, VELOCITY, build_space, interpolate
-from sdgflow.verify import ManufacturedProblem, observed_orders, run_manufactured
+from sdgflow.verify import ManufacturedProblem, _grad_p0, observed_orders, run_manufactured
 from test_forms import _pointwise_values, all_spaces, six_operators
 from test_forms import smooth_pressure, smooth_velocity
 from test_solver import forcing, forcing_l2
@@ -308,3 +308,31 @@ def test_gradient_source_leaves_velocity_at_rest(
     u_l2 = np.sqrt(u @ (ops.MU @ u))
     p_l2 = np.sqrt(p @ (assemble_mass(ops.pressure) @ p))
     assert u_l2 <= 1e-12 * p_l2
+
+
+@pytest.fixture(scope="module")
+def perturbed4_ops():
+    return {k: build_operators(perturbed_mesh(4), k) for k in (1, 2)}
+
+
+@pytest.mark.criterion(7)
+@pytest.mark.parametrize("eps", [1.0, 1e-4, 0.0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_scaled_pressure_leaves_velocity_unchanged(perturbed4_ops, k, eps):
+    # Adding 999 cos(2 pi t) grad p0 to the manufactured forcing scales
+    # the exact pressure by 1e3 and leaves the exact velocity as it is; a
+    # pressure-robust scheme leaves the discrete velocity as it is too.
+    # Without drag: with it, the normwise stop of the linear solves,
+    # whose scale grows with the pressure, lets the velocity move by up
+    # to 7e-8 relative at k = 2 and beta = 1e4.
+    ops = perturbed4_ops[k]
+    params = ModelParams(eps, 1.0, 0.0)
+    terms = ManufacturedProblem(params).forcing_terms()
+    boost = [(lambda t: 999.0 * np.cos(2.0 * np.pi * t), _grad_p0)]
+    kw = dict(dt=0.025, n_steps=4)
+    base = run_transient(ops, params, terms, **kw)
+    scaled = run_transient(ops, params, terms + boost, **kw)
+    u, u_scaled = base.u.values, scaled.u.values
+    assert np.abs(u_scaled - u).max() <= 1e-10 * np.abs(u).max()
+    p, p_scaled = base.p.values, scaled.p.values
+    assert np.linalg.norm(p_scaled) >= 500.0 * np.linalg.norm(p)

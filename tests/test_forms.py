@@ -10,6 +10,7 @@ from sdgflow import spaces
 from sdgflow.forms import (
     DragMassAssembler,
     apply_divergence,
+    apply_drag,
     apply_divergence_adjoint,
     assemble_divergence,
     assemble_divergence_adjoint,
@@ -247,6 +248,23 @@ def test_drag_jacobian(k):
         np.testing.assert_allclose(dense, dense.T, atol=1e-14 * np.abs(dense).max())
     rest = drag(np.zeros(u.global_dim), jacobian=True)
     assert rest.shape == (u.global_dim, u.global_dim) and not rest.data.any()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_apply_drag_matches_drag_matrices(k):
+    # The matrix-free D(c) c equals the drag mass and half the Jacobian
+    # applied to c itself, and vanishes at rest.
+    mesh = perturbed_mesh(3, seed=4)
+    u = build_space(mesh, VELOCITY, k)
+    drag = DragMassAssembler(u)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        c = rng.standard_normal(u.global_dim)
+        got = apply_drag(u, c)
+        for want in (drag(c) @ c, 0.5 * (drag(c, jacobian=True) @ c)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    rest = apply_drag(u, np.zeros(u.global_dim))
+    assert rest.shape == (u.global_dim,) and not rest.any()
 
 
 def _pointwise_values(space, coeffs):

@@ -357,3 +357,49 @@ def test_manufactured_run_assembles_each_load_once(monkeypatch):
     monkeypatch.setattr(solver, "assemble_load", counting_load)
     run_manufactured(4, 16, ModelParams(1.0, 1.0, 1.0))
     assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.0])
+def test_converged_sweeps_assemble_no_jacobian(monkeypatch, perturbed_ops4, eps):
+    # A sweep whose starting point already meets the refinement stop is
+    # accepted with increment 0.0 and assembles no Jacobian; every other
+    # sweep assembles one.
+    jacobians = []
+    assembler = solver.DragMassAssembler
+
+    def counting_assembler(space):
+        drag = assembler(space)
+
+        def call(coeffs, jacobian=False):
+            jacobians.append(jacobian)
+            return drag(coeffs, jacobian=jacobian)
+
+        return call
+
+    monkeypatch.setattr(solver, "DragMassAssembler", counting_assembler)
+    params = ModelParams(eps, 1.0, 1e4)
+    prob = ManufacturedProblem(params, final_time=0.8)
+    res = run_transient(perturbed_ops4, params, prob.forcing_terms(), dt=0.1, n_steps=8)
+    sweeps = sum(r.picard_iterations for r in res.reports)
+    accepted = sum(r.increments[-1] == 0.0 for r in res.reports)
+    assert all(jacobians)
+    assert len(jacobians) == sweeps - accepted
+    assert len(jacobians) < sweeps
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.0])
+@pytest.mark.parametrize("beta", [0.0, 1e4])
+def test_restart_from_initial_velocity_continues_the_run(perturbed_ops4, beta, eps):
+    # Backward Euler carries only the velocity from step to step, so a run
+    # restarted from the velocity it reached, with its source shifted by
+    # the restart time, continues the uninterrupted run.
+    params = ModelParams(eps, 1.0, beta)
+    terms = ManufacturedProblem(params, final_time=0.8).forcing_terms()
+    dt, t0 = 0.1, 0.4
+    full = run_transient(perturbed_ops4, params, terms, dt=dt, n_steps=8)
+    half = run_transient(perturbed_ops4, params, terms, dt=dt, n_steps=4)
+    shifted = [(lambda t, a=a: a(t + t0), g) for a, g in terms]
+    rest = run_transient(perturbed_ops4, params, shifted, dt=dt, n_steps=4, u0=half.u)
+    for name in ("u", "p"):
+        got, want = getattr(rest, name).values, getattr(full, name).values
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
