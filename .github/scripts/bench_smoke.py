@@ -8,6 +8,10 @@ reports every end-to-end metric of BENCHMARK.json, and standard error
 has no ``not traced, absent`` line (a traced entry point the program no
 longer offers). For every traced run it prints one line with the
 solver's counts (COUNTS below); they are output only, not checked.
+After the runs it reads ``perfbench/out/<workload>-trace{0,1}.json``
+and fails unless every unit of a workload's traced and untraced runs
+has the same ``output_sha256``, so that tracing does not change
+results; it prints that digest.
 
 Usage (from the repository root): python3 .github/scripts/bench_smoke.py
 """
@@ -20,6 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
+OUT = ROOT / "perfbench" / "out"
 # Per-layer counts printed for every traced run.
 COUNTS = (
     "solver.sweeps",
@@ -71,6 +76,21 @@ def check(workload: str, trace: int, end_to_end: list) -> list:
     return problems
 
 
+def same_output(workload: str) -> list:
+    digests = set()
+    for trace in (0, 1):
+        path = OUT / f"{workload}-trace{trace}.json"
+        try:
+            units = json.loads(path.read_text())["units"]
+        except (OSError, ValueError, KeyError) as exc:
+            return [f"{workload}: cannot read {path.name}: {exc}"]
+        digests.update(u.get("output_sha256") for u in units)
+    if len(digests) != 1 or None in digests:
+        return [f"{workload}: traced and untraced output digests differ: {digests}"]
+    print(f"{workload}: output_sha256 {digests.pop()}")
+    return []
+
+
 def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = [m["name"] for m in bench["end_to_end"]]
@@ -78,6 +98,7 @@ def main() -> int:
     for workload in (w["name"] for w in bench["workloads"]):
         for trace in (0, 1):
             problems += check(workload, trace, end_to_end)
+        problems += same_output(workload)
     for problem in problems:
         print(problem, file=sys.stderr)
     print("benchmark smoke: " + ("FAILED" if problems else "passed"))

@@ -188,14 +188,14 @@ class DragMassAssembler:
     Both use the same quadrature, on which ``J(u) u = 2 D(u) u`` holds
     exactly; :func:`apply_drag` gives ``D(u) u`` without a matrix.
 
-    The basis products ``val_m val_n w_q`` of every triangle, the
-    per-triangle expansion blocks and the CSR pattern are precomputed
-    once, since the drag iteration needs a fresh matrix every sweep; a
-    call contracts the three distinct entries of the symmetric pointwise
-    weight with the products in one batched product. Every call returns
-    a canonical CSR matrix on the same ``indptr`` and ``indices``, so
-    callers may scatter its ``data`` into a larger pattern through a
-    fixed index map.
+    The basis products ``val_m val_n w_q`` of every triangle and the
+    per-triangle expansion blocks are precomputed once, since the drag
+    iteration needs a fresh matrix every sweep; a call contracts the
+    three distinct entries of the symmetric pointwise weight with the
+    products in one batched product. Every call returns a canonical CSR
+    matrix on the space's ``indptr`` and ``indices`` (see
+    DofSpace.pattern), so callers may scatter its ``data`` into a larger
+    pattern through a fixed index map.
     """
 
     def __init__(self, space: DofSpace):
@@ -214,26 +214,11 @@ class DragMassAssembler:
         self._block_index = entry.transpose(0, 2, 1, 3).ravel()
         self._Z = space.local_E
         self._ZT = np.ascontiguousarray(self._Z.swapaxes(1, 2))
-        # Each local entry (t, l, j) lands in the slot of (dof_map[t, l],
-        # dof_map[t, j]) of the canonical pattern; bincount sums repeats.
-        n, n_loc = space.global_dim, space.dof_map.shape[1]
-        rows = np.repeat(space.dof_map, n_loc, axis=1).ravel()
-        cols = np.tile(space.dof_map, (1, n_loc)).ravel()
-        keys, self._slot = np.unique(rows * n + cols, return_inverse=True)
-        self._indices = (keys % n).astype(np.int32)
-        self._indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=self._indptr[1:])
-        # Every returned matrix shares these; in-place edits must fail.
-        self._indices.flags.writeable = False
-        self._indptr.flags.writeable = False
 
     def __call__(self, coeffs: np.ndarray, jacobian: bool = False) -> sp.csr_matrix:
         space = self.space
         nt, nk = space.mesh.n_triangles, space.nk
-        coeffs = np.asarray(coeffs, dtype=float)
-        broken = np.matmul(self._Z, coeffs[space.dof_map][:, :, None])
-        vals = np.matmul(broken.reshape(nt, 2, nk), self._val)
-        speed = np.sqrt(vals[:, 0] ** 2 + vals[:, 1] ** 2)
+        vals, speed = _nodal_velocity(space, self._val, coeffs)
         # Entries (0, 0), (0, 1) and (1, 1) of the symmetric pointwise 2x2
         # weight.
         if jacobian:
@@ -248,9 +233,20 @@ class DragMassAssembler:
         entries = np.matmul(weight, self._products).reshape(nt, -1)
         blocks = entries[:, self._block_index].reshape(nt, 2 * nk, 2 * nk)
         local = np.matmul(np.matmul(self._ZT, blocks), self._Z)
-        data = np.bincount(self._slot, weights=local.ravel(), minlength=len(self._indices))
+        indptr, indices, slot = space.pattern
+        data = np.bincount(slot, weights=local.ravel(), minlength=len(indices))
         n = space.global_dim
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _nodal_velocity(u_space: DofSpace, val: np.ndarray, coeffs: np.ndarray):
+    """The velocity (nt, 2, nq) at the quadrature nodes of the basis table
+    ``val`` and its speed (nt, nq)."""
+    nt, nk = u_space.mesh.n_triangles, u_space.nk
+    coeffs = np.asarray(coeffs, dtype=float)
+    broken = np.matmul(u_space.local_E, coeffs[u_space.dof_map][:, :, None])
+    vals = np.matmul(broken.reshape(nt, 2, nk), val)
+    return vals, np.sqrt(vals[:, 0] ** 2 + vals[:, 1] ** 2)
 
 
 def apply_drag(u_space: DofSpace, coeffs: np.ndarray) -> np.ndarray:
@@ -261,14 +257,11 @@ def apply_drag(u_space: DofSpace, coeffs: np.ndarray) -> np.ndarray:
     _check(u_space, VELOCITY, u_space.mesh, u_space.k)
     nt, nk = u_space.mesh.n_triangles, u_space.nk
     ttab = tri_tables(u_space.mesh, u_space.k, enhanced_degree(u_space.k))
-    Z, dof_map = u_space.local_E, u_space.dof_map
-    broken = np.matmul(Z, np.asarray(coeffs, dtype=float)[dof_map][:, :, None])
-    vals = np.matmul(broken.reshape(nt, 2, nk), ttab.val)
-    speed = np.sqrt(vals[:, 0] ** 2 + vals[:, 1] ** 2)
+    vals, speed = _nodal_velocity(u_space, ttab.val, coeffs)
     weighted = vals * (speed * ttab.w)[:, None]
     tested = np.matmul(weighted, ttab.val.swapaxes(1, 2)).reshape(nt, 2 * nk, 1)
-    local = np.matmul(Z.swapaxes(1, 2), tested)
-    return np.bincount(dof_map.ravel(), weights=local.ravel(), minlength=u_space.global_dim)
+    local = np.matmul(u_space.local_E.swapaxes(1, 2), tested).ravel()
+    return np.bincount(u_space.dof_map.ravel(), weights=local, minlength=u_space.global_dim)
 
 
 def assemble_velocity_gradient(u_space: DofSpace, w_space: DofSpace) -> sp.csr_matrix:

@@ -17,34 +17,38 @@ trace variables from the system entirely, which keeps the matrix
 nonsingular in the Darcy limit.
 
 A sweep changes only the velocity-velocity block of the step matrix, so
-the matrix lives on one sparsity pattern for the whole run (see
-_StepMatrix): the fixed blocks are assembled once, the mass and
-condensed-gradient part of the velocity block is rewritten only when the
-time-derivative weight changes, and each sweep writes the Jacobian
-values into the pattern in place through a fixed index map.
+the matrix lives on one sparsity pattern for the whole run, built with
+the run before its first sweep (see _StepSystem): the fixed blocks are
+assembled once, the mass and condensed-gradient part of the velocity
+block is rewritten only when the time-derivative weight changes, and a
+sweep writes the Jacobian values into the pattern in place through a
+fixed index map. The drag part of the pattern is known in advance: the
+pairs of velocity coefficients that share a triangle.
 
 Constant pressures span the nullspace of the step matrix on both sides,
 and the mass equations, whose right-hand side is zero, stay consistent.
 So the pressure needs a normalisation, not a Lagrange multiplier: the
 step matrix pins one pressure coefficient in place of its mass equation,
-which makes it nonsingular (see _StepMatrix), and the final pressure is
+which makes it nonsingular (see _StepSystem), and the final pressure is
 shifted by a constant to zero mean.
 
 Factorizations are reused across sweeps and steps through iterative
 refinement, since the Jacobian drifts slowly between them, and are
-rebuilt only when refinement stops contracting. A step's first sweep
-starts refinement from the step vector extrapolated from the last two
-steps, ``2 x_n - x_{n-1}`` (the initial state at the first step), and
-each later sweep from the previous sweep's solution, so a sweep whose
-answer barely moved needs only one or two triangular solves. Either way
+rebuilt only when refinement stops contracting; a change of the
+time-derivative weight (BDF2's second step) drops the held factor, since
+the matrix then jumps. A step's first sweep starts refinement from the
+step vector extrapolated from the last two steps, ``2 x_n - x_{n-1}``
+(the initial state at the first step), and each later sweep from the
+previous sweep's solution, so a sweep whose answer barely moved needs
+only one or two triangular solves. Either way
 the start's velocity is the sweep's linearization point, where the
 residual of the Newton system is the nonlinear residual and needs no
 Jacobian: ``D(u) u`` is applied without a matrix (forms.apply_drag). A
 sweep whose start already meets the refinement stop, measured with the
-norm of the last assembled step matrix, is accepted as it stands, with
+norm of the step matrix as last written, is accepted as it stands, with
 increment 0.0 and no Jacobian, matrix write or triangular solve; that is
-how a converged step usually ends. Every other sweep, and the first of
-the run, which fixes the matrix pattern, assembles the Jacobian.
+how a converged step usually ends, and why a run from rest with no
+source factors nothing. Every other sweep assembles the Jacobian.
 """
 
 from __future__ import annotations
@@ -242,9 +246,9 @@ def build_operators(mesh: StaggeredMesh, k: int) -> Operators:
 class StepReport:
     """Diagnostics of one time step.
 
-    ``increments`` holds every sweep's relative velocity increment; after
-    the first sweep of a run, a last increment of exactly 0.0 marks a
-    sweep accepted without a Jacobian (see the module docstring).
+    ``increments`` holds every sweep's relative velocity increment; a
+    last increment of exactly 0.0 marks a sweep accepted without a
+    Jacobian (see the module docstring).
     """
 
     step: int
@@ -324,8 +328,9 @@ def _layout(ops: Operators, se: float) -> list:
     return [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
 
 
-class _StepMatrix:
-    """The pinned step matrix on one pattern.
+class _StepSystem:
+    """The pinned step system of one run: its matrix on one pattern, the
+    held factorization and the refinement stop.
 
     Rows and columns share the slices of _layout: columns are ordered
     [velocity, trace, pressure] and rows carry the momentum, trace-jump
@@ -350,24 +355,35 @@ class _StepMatrix:
     of the other mass rows, so the pinned system has the solution of the
     singular one with ``x_p[ip] = 0``.
 
-    The pattern is the union of the block patterns, including that of
-    the drag matrix ``drag`` when there is one, and ``A`` keeps it for
-    the run. The blocks outside the velocity block are written once; in
-    the velocity block ``update`` writes the fixed ``eps BU Mi BU^T`` part
-    together with ``m MU`` when ``m`` changes and scatters ``beta J.data``
-    into it through a precomputed slot map when given one, with no sparse
-    arithmetic. The drag matrices passed to ``update`` must share the
-    pattern of ``drag``. ``lin`` is the drag-free matrix on the same
-    pattern (``A`` itself when there is no drag), and ``norm`` the
-    largest absolute row sum of ``A`` as last written.
+    The pattern is the union of the block patterns, including, for a run
+    with drag, that of the velocity pairs sharing a triangle, on which
+    every drag Jacobian lives (DofSpace.pattern); ``A`` keeps it for the
+    run. The blocks outside the velocity block are written once. In the
+    velocity block ``set_mass`` writes the fixed ``eps BU Mi BU^T`` part
+    together with ``m MU`` when ``m`` changes, and ``solve`` scatters
+    ``beta J.data`` on top of them through a precomputed slot map, with
+    no sparse arithmetic. ``lin`` is the drag-free matrix on the same
+    pattern (``A`` itself without drag), and ``norm`` the largest
+    absolute row sum of ``A`` as last written.
+
+    The factorization is reused across nearby systems, since the drag
+    Jacobian drifts slowly between sweeps and steps: ``solve`` refines
+    with the factor it holds and refactors only when the residual stops
+    contracting, and ``set_mass`` drops it when ``m`` changes.
+    ``factor_count`` and ``refine_count`` count factorizations and
+    refinement passes (one triangular solve each).
     """
 
-    def __init__(self, ops: Operators, se: float, drag: sp.csr_matrix | None = None):
+    def __init__(self, ops: Operators, se: float, drag: bool):
         sl_u = _layout(ops, se)[0]
         # The velocity block enters with the union of the MU, drag and
         # condensed patterns; every entry is one of their slots, which
-        # update writes.
-        uu = _ones(ops.MU) if drag is None else _ones(ops.MU) + _ones(drag)
+        # set_mass writes.
+        uu = _ones(ops.MU)
+        if drag:
+            indptr, indices, _ = ops.velocity.pattern
+            pattern = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=uu.shape)
+            uu = uu + pattern
         dp, ip = ops.pressure.global_dim, int(np.argmax(np.abs(ops.p_const)))
         mass = -ops.DP
         mass.data[mass.indptr[ip] : mass.indptr[ip + 1]] = 0.0
@@ -394,7 +410,7 @@ class _StepMatrix:
         A.sum_duplicates()
         self.A = A
         self.lin = A
-        if drag is not None:
+        if drag:
             self.lin = sp.csr_matrix((A.data.copy(), A.indices, A.indptr), shape=A.shape)
         # Slot of every velocity-block entry in A.data, found among the
         # keys row * n + column of the momentum rows, which canonical CSR
@@ -411,13 +427,13 @@ class _StepMatrix:
         self._uu_slots = slots(uu)
         self._fixed_slots, self._fixed_vals = slots(fixed), fixed.tocoo().data
         self._mass_slots, self._mass_vals = slots(ops.MU), ops.MU.tocoo().data
-        self._drag_slots = slots(drag) if drag is not None else None
+        self._drag_slots = slots(pattern) if drag else None
         # Only the momentum rows, which lead, change; the largest sum of
         # the others is kept.
         self._n_u = hi
         self._other_norm = self._row_sums(hi, n)
-        self._m = None
-        self.norm = None
+        self._m = self.norm = self.lu = None
+        self.factor_count = self.refine_count = 0
 
     def _row_sums(self, lo: int, hi: int) -> float:
         """Largest absolute row sum of ``A`` over rows lo..hi-1 (none of
@@ -426,97 +442,77 @@ class _StepMatrix:
         data = np.abs(self.A.data[ptr[lo] : ptr[hi]])
         return float(np.add.reduceat(data, ptr[lo:hi] - ptr[lo]).max())
 
-    def update(self, m: float, beta: float = 0.0, drag: sp.csr_matrix | None = None):
-        """Write ``m MU`` and the fixed condensed part into the velocity
-        block of ``lin`` and ``A`` when ``m`` changes, and ``beta drag`` on
-        top of them into ``A`` when given one; ``norm`` follows."""
-        if m == self._m and drag is None:
-            return self.A
-        if m != self._m:
-            lin = self.lin.data
-            lin[self._uu_slots] = 0.0
-            lin[self._fixed_slots] = self._fixed_vals
-            lin[self._mass_slots] += m * self._mass_vals
-            if self.lin is not self.A:
-                self.A.data[:] = lin
-            self._m = m
-        if drag is not None:
-            slots = self._drag_slots
-            self.A.data[slots] = self.lin.data[slots] + beta * drag.data
+    def _take_norm(self):
+        """Take ``norm`` from ``A`` as just written."""
         self.norm = max(self._other_norm, self._row_sums(0, self._n_u))
-        return self.A
 
+    def set_mass(self, m: float):
+        """Write ``m MU`` and the fixed condensed part into the velocity
+        block of ``lin`` and ``A``, without drag, and drop the factor, when
+        ``m`` changes."""
+        if m == self._m:
+            return
+        lin = self.lin.data
+        lin[self._uu_slots] = 0.0
+        lin[self._fixed_slots] = self._fixed_vals
+        lin[self._mass_slots] += m * self._mass_vals
+        if self.lin is not self.A:
+            self.A.data[:] = lin
+        self._m, self.lu = m, None
+        self._take_norm()
 
-def _scale(b: np.ndarray, a_norm: float, x: np.ndarray) -> float:
-    """``|b| + |A|_inf |x|``, the scale of the refinement stop."""
-    return float(np.linalg.norm(b)) + a_norm * float(np.linalg.norm(x)) + 1e-300
-
-
-class _PinnedSolver:
-    """Solves A x = b for the pinned step matrix of _StepMatrix.
-
-    The factorization is reused across nearby systems, since the drag
-    Jacobian drifts slowly between sweeps and steps: ``solve`` refines
-    with the factor it holds and refactors only when the residual stops
-    contracting. Refinement starts from a given guess, normally the
-    extrapolated state or the previous sweep's solution, so it only has
-    to remove the residual of that guess; a guess that already meets the
-    tolerance costs no triangular solve. Residuals are always measured
-    against the system ``b - A x`` of the current matrix, the one that is
-    factored.
-    ``factor_count`` and ``refine_count`` count factorizations and
-    refinement passes (one triangular solve each).
-    """
-
-    def __init__(self):
-        self.lu = None
-        self.factor_count = 0
-        self.refine_count = 0
-
-    def reset(self):
-        """Drop the held factorization (call when the matrix jumps)."""
-        self.lu = None
-
-    def _refactor(self, A: sp.csr_matrix):
+    def _refactor(self):
         try:
-            self.lu = splu(A.tocsc())
+            self.lu = splu(self.A.tocsc())
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
         self.factor_count += 1
 
-    def solve(self, A, a_norm, b, x0, r0=None):
-        """Returns x and the relative residual of A x = b.
+    def _stop(self, b, x, r):
+        """``|r|``, the relative residual ``|r| / (|b| + norm |x|)`` and
+        whether it meets the refinement stop."""
+        rn = float(np.linalg.norm(r))
+        scale = float(np.linalg.norm(b)) + self.norm * float(np.linalg.norm(x)) + 1e-300
+        return rn, rn / scale, rn <= REFINE_TOL * scale
 
-        ``a_norm`` is the largest absolute row sum of ``A``; ``x0`` is the
-        starting guess and ``r0``, when given, its residual ``b - A x0``.
+    def solve(self, b, x, r, beta, jacobian):
+        """Returns the solution of ``A x = b`` refined from the start
+        ``x``, and its relative residual.
+
+        The drag part of ``A`` is ``beta jacobian()``, and ``r`` is the
+        residual ``b - A x`` of the start, which the caller forms without
+        the Jacobian. A start that meets the stop under the last written
+        ``norm`` is returned as it is, with no Jacobian and no triangular
+        solve. Otherwise the Jacobian is written into ``A``, which is
+        factored if no factor is held, and refinement removes the residual
+        with the held factor, measured against ``b - A x`` under the new
+        ``norm``; a factor not made for this solve is rebuilt when a pass
+        fails to shrink the residual eightfold. Raises SolverError if the
+        solve stalls above 1e-10.
         """
-        if self.lu is None:
-            self._refactor(A)
-            fresh = True
-        else:
-            fresh = False
-        x = np.array(x0, dtype=float)
-
-        def measure(r):
-            return r, float(np.linalg.norm(r)), _scale(b, a_norm, x)
-
-        r, rn, scale = measure(b - A @ x if r0 is None else r0)
-        rn_prev = np.inf
+        rn, resid, done = self._stop(b, x, r)
+        if done:
+            return x, resid
+        if beta != 0.0:
+            slots = self._drag_slots
+            self.A.data[slots] = self.lin.data[slots] + beta * jacobian().data
+            self._take_norm()
+        fresh, rn_prev = self.lu is None, np.inf
+        if fresh:
+            self._refactor()
+        rn, resid, done = self._stop(b, x, r)
         for _ in range(12):
-            if rn <= REFINE_TOL * scale:
+            if done:
                 break
-            x += self.lu.solve(r)
+            x = x + self.lu.solve(r)
             self.refine_count += 1
-            r, rn, scale = measure(b - A @ x)
-            if rn <= REFINE_TOL * scale:
-                break
-            if not fresh and rn > 0.125 * rn_prev:
-                self._refactor(A)
-                fresh = True
-                rn_prev = np.inf
-                continue
-            rn_prev = rn
-        resid = rn / scale
+            r = b - self.A @ x
+            rn, resid, done = self._stop(b, x, r)
+            if not done and not fresh and rn > 0.125 * rn_prev:
+                self._refactor()
+                fresh, rn_prev = True, np.inf
+            else:
+                rn_prev = rn
         if resid > 1e-10:
             raise SolverError(f"linear solve stalled at relative residual {resid:.2e}")
         return x, resid
@@ -579,9 +575,8 @@ def run_transient(
     x[sl_u] = u_prev
     x_prev = x
     reports: list[StepReport] = []
-    stepper = _PinnedSolver()
+    system = _StepSystem(ops, se, params.beta != 0.0)
     drag_mass = DragMassAssembler(U) if params.beta != 0.0 else None
-    matrix = None
     if f is None:
         load = lambda t: 0.0
     elif callable(f):
@@ -595,50 +590,36 @@ def run_transient(
         if scheme == BDF2 and step >= 2:
             sigma = 1.5
             hist = ops.MU @ ((4.0 * u_prev - u_prev2) / (2.0 * dt))
-            if step == 2:
-                stepper.reset()
         else:
             sigma = 1.0
             hist = ops.MU @ (u_prev / dt)
         b = np.zeros(sl_p.stop)
         b[sl_u] = hist + load(t_new)
 
-        m = sigma / dt + params.alpha
+        system.set_mass(sigma / dt + params.alpha)
         # The first sweep starts from the extrapolated step vector; at the
         # first step, 2 x0 - x0 is x0 exactly.
         x, x_prev = 2.0 * x - x_prev, x
         increments: list[float] = []
         worst_resid = 0.0
-        factors0, passes0 = stepper.factor_count, stepper.refine_count
+        factors0, passes0 = system.factor_count, system.refine_count
         for it in range(1, picard.max_iter + 1):
             # Newton sweep about the velocity u of x, with A_lin the
             # drag-free matrix: (A_lin + beta J(u)) x_new = b + beta (J(u) -
             # D(u)) u = b + beta D(u) u, since J(u) u = 2 D(u) u on the
             # quadrature. Its residual at x is the nonlinear residual F(x) =
-            # b - A_lin x - beta D(u) u, which needs no Jacobian: a sweep
-            # whose start already meets the refinement stop is accepted as
-            # it stands, with increment 0.
+            # b - A_lin x - beta D(u) u, which needs no Jacobian: a start
+            # that already meets the refinement stop comes back unchanged,
+            # with increment exactly 0.0.
             u = x[sl_u]
             drag = params.beta * apply_drag(U, u) if params.beta != 0.0 else 0.0
             b_it = b.copy()
             b_it[sl_u] += drag
-            r, accepted = None, False
-            if matrix is not None:
-                matrix.update(m)
-                r = b - matrix.lin @ x
-                r[sl_u] -= drag
-                resid = float(np.linalg.norm(r)) / _scale(b_it, matrix.norm, x)
-                accepted = resid <= REFINE_TOL
-            if accepted:
-                inc = 0.0
-            else:
-                jac = drag_mass(u, jacobian=True) if params.beta != 0.0 else None
-                if matrix is None:
-                    matrix = _StepMatrix(ops, se, jac)
-                A = matrix.update(m, params.beta, jac)
-                x, resid = stepper.solve(A, matrix.norm, b_it, x, r)
-                u_new = x[sl_u]
-                inc = _l2(ops.MU, u_new - u) / max(_l2(ops.MU, u_new), 1e-300)
+            r = b - system.lin @ x
+            r[sl_u] -= drag
+            x, resid = system.solve(b_it, x, r, params.beta, lambda: drag_mass(u, jacobian=True))
+            u_new = x[sl_u]
+            inc = _l2(ops.MU, u_new - u) / max(_l2(ops.MU, u_new), 1e-300)
             worst_resid = max(worst_resid, resid)
             increments.append(inc)
             if params.beta == 0.0 or inc <= picard.tol:
@@ -665,8 +646,8 @@ def run_transient(
                 residual=worst_resid,
                 u_l2=_l2(ops.MU, u_prev),
                 L_l2=_l2(ops.MW, L),
-                factorizations=stepper.factor_count - factors0,
-                refine_passes=stepper.refine_count - passes0,
+                factorizations=system.factor_count - factors0,
+                refine_passes=system.refine_count - passes0,
             )
         )
 

@@ -30,6 +30,7 @@ field once per edge class and once on all triangles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -273,6 +274,23 @@ class DofSpace:
         cols = np.repeat(self.dof_map, self.loc_dim, axis=0).ravel()
         shape = (self.broken_dim, self.global_dim)
         self.E = sp.coo_matrix((self.local_E.ravel(), (rows, cols)), shape=shape).tocsr()
+
+    @cached_property
+    def pattern(self) -> tuple:
+        """``(indptr, indices, slot)``: the canonical CSR pattern of the
+        pairs of DOFs that share a triangle, which every volume form on
+        the space fits, and the position in it of every local entry
+        ``(dof_map[t, l], dof_map[t, j])`` in (t, l, j) order (repeats sum).
+        The arrays are read-only."""
+        n, n_loc = self.global_dim, self.dof_map.shape[1]
+        rows = np.repeat(self.dof_map, n_loc, axis=1).ravel()
+        cols = np.tile(self.dof_map, (1, n_loc)).ravel()
+        keys, slot = np.unique(rows * n + cols, return_inverse=True)
+        indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
+        out = (indptr, (keys % n).astype(np.int32), slot)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     # ----- field handling ---------------------------------------------------
 

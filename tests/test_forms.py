@@ -267,6 +267,30 @@ def test_apply_drag_matches_drag_matrices(k):
     assert rest.shape == (u.global_dim,) and not rest.any()
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_velocity_pattern_fits_the_drag_matrices(k):
+    # The space's pattern is the set of velocity pairs that share a
+    # triangle, in canonical CSR order: the pattern of every drag
+    # Jacobian, and a superset of the mass matrix's.
+    mesh = perturbed_mesh(3, seed=4)
+    u = build_space(mesh, VELOCITY, k)
+    indptr, indices, slot = u.pattern
+    n, n_loc = u.global_dim, u.dof_map.shape[1]
+    rows = np.repeat(u.dof_map, n_loc, axis=1).ravel()
+    cols = np.tile(u.dof_map, (1, n_loc)).ravel()
+    pairs = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    pairs.sum_duplicates()
+    assert np.array_equal(indptr, pairs.indptr) and np.array_equal(indices, pairs.indices)
+    J = DragMassAssembler(u)(np.random.default_rng(3).standard_normal(n), jacobian=True)
+    assert J.has_canonical_format
+    assert np.array_equal(J.indptr, indptr) and np.array_equal(J.indices, indices)
+    # Every local entry's slot holds its own (row, column) pair.
+    keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+    assert np.array_equal(keys[slot], rows * n + cols)
+    mass = assemble_mass(u).tocoo()
+    assert np.isin(mass.row * n + mass.col, keys).all()
+
+
 def _pointwise_values(space, coeffs):
     ttab = spaces.tri_tables(space.mesh, space.k, spaces.enhanced_degree(space.k))
     broken = space.broken(coeffs)

@@ -40,11 +40,41 @@ def forcing_l2(mesh, t):
     return float(np.sqrt(np.einsum("tqc,tq->", vals**2, ttab.w)))
 
 
-def test_zero_forcing_stays_zero():
+def count_jacobians(monkeypatch) -> list:
+    """Record, for every drag matrix the solver assembles, whether it is a
+    Jacobian."""
+    jacobians = []
+    assembler = solver.DragMassAssembler
+
+    def counting_assembler(space):
+        drag = assembler(space)
+
+        def call(coeffs, jacobian=False):
+            jacobians.append(jacobian)
+            return drag(coeffs, jacobian=jacobian)
+
+        return call
+
+    monkeypatch.setattr(solver, "DragMassAssembler", counting_assembler)
+    return jacobians
+
+
+def test_zero_forcing_stays_zero(monkeypatch):
     ops = operators(2)
     res = run_transient(ops, ModelParams(1.0, 1.0, 1.0), None, dt=0.05, n_steps=4)
     assert res.u.values.max() == 0.0 and res.p.values.max() == 0.0
     assert all(r.picard_iterations == 1 for r in res.reports)
+    # From rest with no source every sweep starts at the solution, so no
+    # step assembles a Jacobian, factors or refines.
+    jacobians = count_jacobians(monkeypatch)
+    for beta in (0.0, 1e4):
+        for scheme in (BACKWARD_EULER, BDF2):
+            params = ModelParams(1.0, 1.0, beta)
+            res = run_transient(ops, params, None, dt=0.05, n_steps=4, scheme=scheme)
+            assert not res.u.values.any() and not res.p.values.any()
+            assert all(r.factorizations == 0 for r in res.reports)
+            assert all(r.refine_passes == 0 for r in res.reports)
+    assert not any(jacobians)
 
 
 def test_beta_zero_is_single_solve():
@@ -277,6 +307,10 @@ def _check_against_reference_step_loop(ops, eps, scheme, beta):
     assert [r.picard_iterations for r in res.reports] == ref["sweeps"]
     assert sum(r.refine_passes for r in res.reports) <= ref["solves"]
     assert res.reports[0].factorizations >= 1
+    if scheme == BDF2:
+        # The second step changes the time-derivative weight, so the step
+        # matrix jumps and the first step's factor is dropped.
+        assert res.reports[1].factorizations >= 1
     assert all(r.refine_passes >= 1 for r in res.reports)
     if beta != 0.0:
         # Newton and the frozen-speed Picard iteration solve the same
@@ -364,19 +398,7 @@ def test_converged_sweeps_assemble_no_jacobian(monkeypatch, perturbed_ops4, eps)
     # A sweep whose starting point already meets the refinement stop is
     # accepted with increment 0.0 and assembles no Jacobian; every other
     # sweep assembles one.
-    jacobians = []
-    assembler = solver.DragMassAssembler
-
-    def counting_assembler(space):
-        drag = assembler(space)
-
-        def call(coeffs, jacobian=False):
-            jacobians.append(jacobian)
-            return drag(coeffs, jacobian=jacobian)
-
-        return call
-
-    monkeypatch.setattr(solver, "DragMassAssembler", counting_assembler)
+    jacobians = count_jacobians(monkeypatch)
     params = ModelParams(eps, 1.0, 1e4)
     prob = ManufacturedProblem(params, final_time=0.8)
     res = run_transient(perturbed_ops4, params, prob.forcing_terms(), dt=0.1, n_steps=8)
