@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -400,77 +400,84 @@ def format_table(rows: list[TableRow], cfg: RunConfig) -> str:
     return "\n".join(out)
 
 
+_COLUMNS = CSV_HEADER.split(",")
+# The columns that identify a row; the others hold its errors and orders.
+_KEY = _COLUMNS[:6]
+
+
+def _csv_values(r: TableRow) -> dict:
+    """A row's values by CSV column (TableRow's fields are in that order)."""
+    values = dict(zip(_COLUMNS, astuple(r)))
+    values["scheme"] = _SCHEME_NAMES[r.scheme]
+    return values
+
+
+def _csv_text(name: str, v) -> str:
+    if v is None:
+        return "N/A"
+    if name.startswith("err_"):
+        return f"{v:.6e}"
+    if name.startswith("ord_"):
+        return f"{v:.4f}"
+    return v if isinstance(v, str) else repr(v)
+
+
+def _csv_value(name: str, text: str):
+    """Inverse of _csv_text, up to the written precision."""
+    if name == "scheme":
+        return text
+    if name in ("inv_h", "N"):
+        return int(text)
+    return None if text == "N/A" and name.startswith("ord_") else float(text)
+
+
 def csv_lines(rows: list[TableRow]) -> list[str]:
     lines = [CSV_HEADER]
     for r in rows:
-        ords = [
-            "N/A" if v is None else f"{v:.4f}" for v in (r.ord_u, r.ord_L, r.ord_p)
-        ]
-        lines.append(
-            f"{r.epsilon!r},{r.alpha!r},{r.beta!r},{_SCHEME_NAMES[r.scheme]},"
-            f"{r.inv_h},{r.n_steps},"
-            f"{r.err_u:.6e},{ords[0]},{r.err_L:.6e},{ords[1]},{r.err_p:.6e},{ords[2]}"
-        )
+        lines.append(",".join(_csv_text(n, v) for n, v in _csv_values(r).items()))
     return lines
 
 
-def _parse_ref_csv(text: str):
+def _parse_ref_csv(text: str) -> list[dict]:
+    """The rows of a reference CSV, each as its values by column."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ConfigError("reference CSV: unexpected header")
-    ref = {}
+    ref = []
     for ln in lines[1:]:
         parts = [p.strip() for p in ln.split(",")]
-        if len(parts) != 12:
+        if len(parts) != len(_COLUMNS):
             raise ConfigError(f"reference CSV: malformed row {ln!r}")
-        key = (
-            float(parts[0]),
-            float(parts[1]),
-            float(parts[2]),
-            parts[3],
-            int(parts[4]),
-            int(parts[5]),
-        )
-        ords = [None if p == "N/A" else float(p) for p in (parts[7], parts[9], parts[11])]
-        ref[key] = (float(parts[6]), ords[0], float(parts[8]), ords[1], float(parts[10]), ords[2])
+        try:
+            ref.append({n: _csv_value(n, p) for n, p in zip(_COLUMNS, parts)})
+        except ValueError as exc:
+            raise ConfigError(f"reference CSV: malformed row {ln!r}: {exc}") from None
     return ref
 
 
 def check_tables(rows: list[TableRow], ref_text: str) -> list[str]:
     """Compare produced rows against a reference CSV.
 
-    Errors must agree within a factor 1.5 either way, orders within 0.2;
-    every reference row must be present. Returns failure descriptions.
+    Rows match on the values of the key columns. Errors must agree
+    within a factor 1.5 either way, orders within 0.2; every reference
+    row must be present. Returns failure descriptions.
     """
-    produced = {
-        (r.epsilon, r.alpha, r.beta, _SCHEME_NAMES[r.scheme], r.inv_h, r.n_steps): r
-        for r in rows
-    }
+    produced = {tuple(v[c] for c in _KEY): v for v in map(_csv_values, rows)}
     failures = []
-    for key, (eu, ou, eL, oL, ep, op) in _parse_ref_csv(ref_text).items():
-        row = produced.get(key)
-        if row is None:
+    for want in _parse_ref_csv(ref_text):
+        key = tuple(want[c] for c in _KEY)
+        got = produced.get(key)
+        if got is None:
             failures.append(f"missing row for {key}")
             continue
-        for name, got, want in (
-            ("err_u", row.err_u, eu),
-            ("err_L", row.err_L, eL),
-            ("err_p", row.err_p, ep),
-        ):
-            if want == 0.0:
-                ok = got == 0.0
-            else:
-                ok = want / 1.5 <= got <= want * 1.5
-            if not ok:
-                failures.append(f"{key}: {name} = {got:.3e}, reference {want:.3e}")
-        for name, got, want in (
-            ("ord_u", row.ord_u, ou),
-            ("ord_L", row.ord_L, oL),
-            ("ord_p", row.ord_p, op),
-        ):
-            if want is not None and (got is None or abs(got - want) > 0.2):
-                got_s = "N/A" if got is None else f"{got:.2f}"
-                failures.append(f"{key}: {name} = {got_s}, reference {want:.2f}")
+        for name in _COLUMNS[len(_KEY) :]:
+            g, w = got[name], want[name]
+            if name.startswith("err_"):
+                if not (g == 0.0 if w == 0.0 else w / 1.5 <= g <= w * 1.5):
+                    failures.append(f"{key}: {name} = {g:.3e}, reference {w:.3e}")
+            elif w is not None and (g is None or abs(g - w) > 0.2):
+                g_s = "N/A" if g is None else f"{g:.2f}"
+                failures.append(f"{key}: {name} = {g_s}, reference {w:.2f}")
     return failures
 
 

@@ -43,6 +43,7 @@ from .spaces import (
     DofSpace,
     FieldCoefficients,
     _field_values,
+    _kron,
     edge_tables,
     enhanced_degree,
     std_degree,
@@ -88,15 +89,6 @@ def _compressed(test: DofSpace, trial: DofSpace, parts) -> sp.csr_matrix:
         shape=(test.broken_dim, trial.broken_dim),
     ).tocsr()
     return drop_small(test.E.T @ broken @ trial.E)
-
-
-def _kron(coef: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Per-edge Kronecker products: out[n, (i, m), (j, l)] = coef[n, i, j] *
-    blocks[n, m, l], for component-stacked rows and columns."""
-    n, p, q = coef.shape
-    _, nr, nc = blocks.shape
-    out = coef[:, :, None, :, None] * blocks[:, None, :, None, :]
-    return out.reshape(n, p * nr, q * nc)
 
 
 def _edge_mass(etab, edges, s_test, s_trial) -> np.ndarray:
@@ -176,16 +168,15 @@ def assemble_mass(space: DofSpace, weight=None) -> sp.csr_matrix:
 
 
 class DragMassAssembler:
-    """Builds the drag matrices of a velocity field for repeated calls.
+    """Builds the drag Jacobian of a velocity field for repeated calls.
 
-    ``drag(coeffs)`` is the speed-weighted velocity mass ``D(u)`` with
-    pointwise weight ``|u| I``; it matches ``assemble_mass(space,
-    weight=FieldCoefficients(space, coeffs))``. ``drag(coeffs,
-    jacobian=True)`` is the derivative ``J(u)`` of ``u -> D(u) u``: the
-    velocity mass with the 2x2 pointwise weight ``|u| I + u u^T / |u|``,
-    whose second term is taken as zero where ``u`` vanishes (the weight's
-    norm is at most ``2 |u|``, so ``J(0) = 0`` with no regularization).
-    Both use the same quadrature, on which ``J(u) u = 2 D(u) u`` holds
+    With ``D(u)`` the speed-weighted velocity mass (pointwise weight ``|u|
+    I``, which ``assemble_mass(space, weight=FieldCoefficients(space,
+    coeffs))`` assembles), ``drag(coeffs)`` is the derivative ``J(u)`` of
+    ``u -> D(u) u``: the velocity mass with the 2x2 pointwise weight ``|u|
+    I + u u^T / |u|``, whose second term is taken as zero where ``u``
+    vanishes (the weight's norm is at most ``2 |u|``, so ``J(0) = 0`` with
+    no regularization). On its quadrature ``J(u) u = 2 D(u) u`` holds
     exactly; :func:`apply_drag` gives ``D(u) u`` without a matrix.
 
     The basis products ``val_m val_n w_q`` of every triangle and the
@@ -215,19 +206,15 @@ class DragMassAssembler:
         self._Z = space.local_E
         self._ZT = np.ascontiguousarray(self._Z.swapaxes(1, 2))
 
-    def __call__(self, coeffs: np.ndarray, jacobian: bool = False) -> sp.csr_matrix:
+    def __call__(self, coeffs: np.ndarray) -> sp.csr_matrix:
         space = self.space
         nt, nk = space.mesh.n_triangles, space.nk
         vals, speed = _nodal_velocity(space, self._val, coeffs)
         # Entries (0, 0), (0, 1) and (1, 1) of the symmetric pointwise 2x2
         # weight.
-        if jacobian:
-            inv = np.divide(1.0, speed, out=np.zeros_like(speed), where=speed > 0.0)
-            weight = vals[:, [0, 0, 1]] * vals[:, [0, 1, 1]] * inv[:, None]
-            weight[:, ::2] += speed[:, None]
-        else:
-            weight = np.zeros((nt, 3, speed.shape[1]))
-            weight[:, ::2] = speed[:, None]
+        inv = np.divide(1.0, speed, out=np.zeros_like(speed), where=speed > 0.0)
+        weight = vals[:, [0, 0, 1]] * vals[:, [0, 1, 1]] * inv[:, None]
+        weight[:, ::2] += speed[:, None]
         # Broken block B[t, (c, m), (d, n)] = sum_q weight_cd val_m val_n
         # w_q, then the local matrix Z^T B Z.
         entries = np.matmul(weight, self._products).reshape(nt, -1)
@@ -253,7 +240,8 @@ def apply_drag(u_space: DofSpace, coeffs: np.ndarray) -> np.ndarray:
     """``D(u) u`` for the velocity with coefficients ``coeffs``, without
     the matrix: the pointwise drag ``|u| u`` against every velocity test
     function, on the quadrature of :class:`DragMassAssembler`, so it
-    equals ``DragMassAssembler(u_space)(coeffs) @ coeffs`` to roundoff."""
+    equals both the weighted mass ``assemble_mass(u_space, weight=u) @
+    coeffs`` and half the Jacobian applied to ``coeffs`` to roundoff."""
     _check(u_space, VELOCITY, u_space.mesh, u_space.k)
     nt, nk = u_space.mesh.n_triangles, u_space.nk
     ttab = tri_tables(u_space.mesh, u_space.k, enhanced_degree(u_space.k))

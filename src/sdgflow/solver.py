@@ -102,8 +102,8 @@ class ModelParams:
     """Coefficients of the momentum equation.
 
     epsilon scales the diffusion, alpha the linear drag, beta the
-    quadratic drag. alpha must be positive; the time-stepping bounds
-    degrade as alpha approaches zero.
+    quadratic drag. All three are finite; alpha must be positive; the
+    time-stepping bounds degrade as alpha approaches zero.
     """
 
     epsilon: float
@@ -111,6 +111,9 @@ class ModelParams:
     beta: float
 
     def __post_init__(self):
+        for name in ("epsilon", "alpha", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.alpha <= 0:
@@ -487,8 +490,8 @@ class _StepSystem:
         factored if no factor is held, and refinement removes the residual
         with the held factor, measured against ``b - A x`` under the new
         ``norm``; a factor not made for this solve is rebuilt when a pass
-        fails to shrink the residual eightfold. Raises SolverError if the
-        solve stalls above 1e-10.
+        fails to shrink the residual eightfold. Raises SolverError unless
+        the relative residual ends at most 1e-10 (a NaN one included).
         """
         rn, resid, done = self._stop(b, x, r)
         if done:
@@ -513,7 +516,7 @@ class _StepSystem:
                 fresh, rn_prev = True, np.inf
             else:
                 rn_prev = rn
-        if resid > 1e-10:
+        if not resid <= 1e-10:
             raise SolverError(f"linear solve stalled at relative residual {resid:.2e}")
         return x, resid
 
@@ -558,8 +561,8 @@ def run_transient(
     """
     if scheme not in (BACKWARD_EULER, BDF2):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if dt <= 0 or n_steps < 1:
-        raise ValueError("need dt > 0 and at least one step")
+    if not 0.0 < dt < np.inf or n_steps < 1:
+        raise ValueError("need a finite dt > 0 and at least one step")
     U, W, P, T = ops.velocity, ops.gradient, ops.pressure, ops.trace
     se = float(np.sqrt(params.epsilon))
     sl_u, sl_t, sl_p = _layout(ops, se)
@@ -617,7 +620,7 @@ def run_transient(
             b_it[sl_u] += drag
             r = b - system.lin @ x
             r[sl_u] -= drag
-            x, resid = system.solve(b_it, x, r, params.beta, lambda: drag_mass(u, jacobian=True))
+            x, resid = system.solve(b_it, x, r, params.beta, lambda: drag_mass(u))
             u_new = x[sl_u]
             inc = _l2(ops.MU, u_new - u) / max(_l2(ops.MU, u_new), 1e-300)
             worst_resid = max(worst_resid, resid)

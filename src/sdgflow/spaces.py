@@ -11,6 +11,11 @@ edges carrying that variable's continuity:
   interior moments;
 * trace: per dual edge, tangential Legendre coefficients (no volume part).
 
+``DofSpace._groups`` is the one place that declares these degrees of
+freedom, as groups of moments per triangle: the numbering, the local
+functional matrices and interpolation all read it, so they cannot drift
+apart. The trace space, which has no triangles, is the one exception.
+
 The sparse matrix ``E`` expands global moment values into broken monomial
 coefficients, one inverted local functional matrix per triangle. Shared
 moments make matching edge traces agree pointwise, which realizes exactly
@@ -24,7 +29,8 @@ reference rule with the basis evaluated in one batched pass (see
 ``polybasis``), the numbering is array arithmetic on the mesh's edge
 tables, the local functional matrices of all triangles are stacked and
 inverted by one ``np.linalg.inv`` call, and interpolation evaluates the
-field once per edge class and once on all triangles.
+field once on the edges that carry the shared moments and once on all
+triangles.
 """
 
 from __future__ import annotations
@@ -176,96 +182,93 @@ class DofSpace:
         self._number()
         self._expand()
 
-    # ----- global numbering ------------------------------------------------
+    def _groups(self) -> list:
+        """The local functionals of every triangle, in local order, as
+        ``(edges, C, shared)`` groups: the group's moment sets are taken
+        on ``edges[t]`` (Legendre moments, scaled by ``1/h_e``, in the
+        canonical edge frame) or, with ``edges`` None, inside the triangle
+        (moments against the degree k-1 monomials, scaled by
+        ``1/|tau|``). ``C[t]`` has one row per moment set and one column
+        per field component; a set is the moment of ``C[t] . field``.
+        ``shared`` groups are numbered once per edge of the space's
+        family, the others once per triangle. Shared groups lead."""
+        mesh, nt = self.mesh, self.mesh.n_triangles
+        if self.kind == VELOCITY:
+            # Normal moments on the two dual edges.
+            de = mesh.tri_dual.T
+            groups = [(e, mesh.edge_canon_normal[e][:, None], True) for e in de]
+        elif self.kind == PRESSURE:
+            groups = [(mesh.tri_pedge, np.ones((nt, 1, 1)), True)]
+        else:
+            # Each row r of the matrix field (components 2r + c) against
+            # the normal, shared, then against the tangent, private.
+            pe = mesh.tri_pedge
+            rows = lambda d: np.einsum("rs,tc->trsc", np.eye(2), d[pe]).reshape(nt, 2, 4)
+            groups = [
+                (pe, rows(mesh.edge_canon_normal), True),
+                (pe, rows(mesh.edge_canon_tangent), False),
+            ]
+        if self.nk1:
+            eye = np.broadcast_to(np.eye(self.ncomp), (nt, self.ncomp, self.ncomp))
+            groups.append((None, eye, False))
+        return groups
+
+    @property
+    def _family(self) -> np.ndarray:
+        """The edges that carry the space's shared moments: the primal
+        edges for the gradient and pressure, the dual edges otherwise."""
+        mesh = self.mesh
+        return mesh.primal_edges if self.kind in (GRADIENT, PRESSURE) else mesh.dual_edges
+
+    def _weights(self, exactness: int, edges) -> np.ndarray:
+        """(n, n_moments, nq) weights of one group's moments at the nodes
+        of the given quadrature tier: the (1/h_e) Legendre moments on the
+        listed edges or, for None, the (1/|tau|) moments against the
+        degree k-1 monomials on every triangle."""
+        mesh = self.mesh
+        if edges is None:
+            tab = tri_tables(mesh, self.k, exactness)
+            return tab.val[:, : self.nk1] * (tab.w / mesh.tri_areas()[:, None])[:, None]
+        tab = edge_tables(mesh, self.k, exactness)
+        return tab.leg[edges] * (tab.w[edges] / mesh.edge_length[edges][:, None])[:, None]
 
     def _number(self):
-        """Global numbering: shared edge moments first, then the private
-        per-triangle blocks. Each triangle's local functionals are runs of
-        consecutive global indices, given as (first index per triangle,
-        run length) and concatenated into ``dof_map``."""
-        mesh, k, nk1 = self.mesh, self.k, self.nk1
-        nt = mesh.n_triangles
-        kp1 = k + 1
-        tris = np.arange(nt)
-        if self.kind == VELOCITY:
-            first = _positions(mesh.dual_edges, mesh.n_edges)[mesh.tri_dual] * kp1
-            edge_block = kp1 * len(mesh.dual_edges)
-            self.global_dim = edge_block + 2 * nk1 * nt
-            runs = [(first[:, 0], kp1), (first[:, 1], kp1)]
-            runs.append((edge_block + tris * 2 * nk1, 2 * nk1))
-        elif self.kind == PRESSURE:
-            first = _positions(mesh.primal_edges, mesh.n_edges)[mesh.tri_pedge] * kp1
-            edge_block = kp1 * len(mesh.primal_edges)
-            self.global_dim = edge_block + nk1 * nt
-            runs = [(first, kp1), (edge_block + tris * nk1, nk1)]
-        else:  # GRADIENT
-            first = _positions(mesh.primal_edges, mesh.n_edges)[mesh.tri_pedge]
-            first *= 2 * kp1
-            edge_block = 2 * kp1 * len(mesh.primal_edges)
-            tang_block = 2 * kp1 * nt
-            self.global_dim = edge_block + tang_block + 4 * nk1 * nt
-            runs = [(first, 2 * kp1), (edge_block + tris * 2 * kp1, 2 * kp1)]
-            runs.append((edge_block + tang_block + tris * 4 * nk1, 4 * nk1))
-        self._edge_block = edge_block
+        """Global numbering: the shared moments first, one run per edge of
+        the family, then one block per private group, one run per
+        triangle. Each triangle's local functionals are runs of
+        consecutive global indices, concatenated into ``dof_map``."""
+        nt, family = self.mesh.n_triangles, self._family
+        pos = _positions(family, self.mesh.n_edges)
+        runs, end = [], 0
+        for edges, C, shared in self._groups():
+            width = C.shape[1] * (self.nk1 if edges is None else self.k + 1)
+            if shared:
+                start, end = pos[edges] * width, len(family) * width
+            else:
+                start, end = end + np.arange(nt) * width, end + nt * width
+            runs.append((start, width))
+        self.global_dim = end
         self.dof_map = np.concatenate(
             [start[:, None] + np.arange(width) for start, width in runs], axis=1
         )
 
-    # ----- local functional matrices ---------------------------------------
-
     def _functional_matrices(self) -> np.ndarray:
         """V[t, i, j] = functional_i(basis_j) on triangle t; each square and
-        invertible. Edge moments use the canonical edge frame and are taken
-        from the triangle's own side of the edge."""
-        mesh, k, nk, nk1 = self.mesh, self.k, self.nk, self.nk1
-        kp1 = k + 1
-        nt = mesh.n_triangles
-        tris = np.arange(nt)
-        deg = std_degree(k)
-        ttab = tri_tables(mesh, k, deg)
-        etab = edge_tables(mesh, k, deg)
+        invertible. Edge moments are taken from the triangle's own side of
+        the edge."""
+        mesh, deg = self.mesh, std_degree(self.k)
+        tris = np.arange(mesh.n_triangles)
 
-        def edge_moments(e):
-            """(nt, k+1, nk) (1/h_e) moments of the basis traces on edges e."""
-            side = np.where(mesh.edge_tri[e, 0] == tris, 0, 1)
-            wob = etab.leg[e] * (etab.w[e] / mesh.edge_length[e][:, None])[:, None]
-            return np.matmul(wob, etab.trace[e, side].swapaxes(1, 2))
+        def moments(e):
+            """(nt, n_moments, nk) moments of the basis of every triangle."""
+            if e is None:
+                basis = tri_tables(mesh, self.k, deg).val
+            else:
+                side = np.where(mesh.edge_tri[e, 0] == tris, 0, 1)
+                basis = edge_tables(mesh, self.k, deg).trace[e, side]
+            return np.matmul(self._weights(deg, e), basis.swapaxes(1, 2))
 
-        def kron2(coef, mom):
-            """Rows coef[t, c] * mom[t] side by side over components c."""
-            return (mom[:, :, None, :] * coef[:, None, :, None]).reshape(nt, -1, 2 * nk)
-
-        # (1/|tau|) moments against the degree k-1 monomials.
-        areas = mesh.tri_areas()
-        imom = np.matmul(
-            ttab.val[:, :nk1] * (ttab.w / areas[:, None])[:, None],
-            ttab.val.swapaxes(1, 2),
-        )
-        V = np.zeros((nt, self.loc_dim, self.loc_dim))
-        if self.kind == VELOCITY:
-            for i in range(2):
-                de = mesh.tri_dual[:, i]
-                V[:, i * kp1 : (i + 1) * kp1] = kron2(
-                    mesh.edge_canon_normal[de], edge_moments(de)
-                )
-            row = 2 * kp1
-        elif self.kind == PRESSURE:
-            V[:, :kp1] = edge_moments(mesh.tri_pedge)
-            row = kp1
-        else:
-            pe = mesh.tri_pedge
-            mom = edge_moments(pe)
-            # Row r of the matrix field against the normal, then the tangent.
-            for d, direction in enumerate(
-                (mesh.edge_canon_normal[pe], mesh.edge_canon_tangent[pe])
-            ):
-                for r in range(2):
-                    rows = slice((2 * d + r) * kp1, (2 * d + r + 1) * kp1)
-                    V[:, rows, 2 * r * nk : (2 * r + 2) * nk] = kron2(direction, mom)
-            row = 4 * kp1
-        for c in range(self.ncomp):
-            V[:, row + c * nk1 : row + (c + 1) * nk1, c * nk : (c + 1) * nk] = imom
-        return V
+        return np.concatenate([_kron(C, moments(e)) for e, C, _ in self._groups()], axis=1)
 
     def _expand(self):
         self.local_E = np.linalg.inv(self._functional_matrices())
@@ -315,6 +318,15 @@ def _positions(edges: np.ndarray, n_edges: int) -> np.ndarray:
     pos = np.full(n_edges, -1)
     pos[edges] = np.arange(len(edges))
     return pos
+
+
+def _kron(coef: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Batched Kronecker products: out[n, (i, m), (j, l)] = coef[n, i, j] *
+    blocks[n, m, l], for component-stacked rows and columns."""
+    n, p, q = coef.shape
+    _, nr, nc = blocks.shape
+    out = coef[:, :, None, :, None] * blocks[:, None, :, None, :]
+    return out.reshape(n, p * nr, q * nc)
 
 
 @dataclass(eq=False)
@@ -371,48 +383,35 @@ def interpolate(space: DofSpace, fieldfn, t: float | None = None) -> FieldCoeffi
     t : float, optional
         Time stamp stored on the result.
     """
-    mesh, k = space.mesh, space.k
-    etab = edge_tables(mesh, k, SMOOTH_DEGREE)
+    mesh, family = space.mesh, space._family
 
-    def on_edges(edges):
-        """Field values at the quadrature nodes of the given edges and the
-        (1/h_e) Legendre moment weights, shaped (n, k+1, nq)."""
-        pts = etab.pts[edges]
+    def sample(pts):
+        """Field values at (n, nq) nodes, shaped (n, nq, components)."""
         vals = _field_values(space, fieldfn, pts.reshape(-1, 2))
-        wh = etab.w[edges] / mesh.edge_length[edges][:, None]
-        return vals.reshape(pts.shape[:2] + vals.shape[1:]), etab.leg[edges] * wh[:, None]
+        return vals.reshape(pts.shape[:2] + (-1,))
 
+    vals = sample(edge_tables(mesh, space.k, SMOOTH_DEGREE).pts[family])
     if space.kind == TRACE:
-        dual = mesh.dual_edges
-        vals, wob = on_edges(dual)
-        tang = np.einsum("eqc,ec->eq", vals, mesh.edge_canon_tangent[dual])
-        scale = 2 * np.arange(k + 1) + 1
-        g = scale * np.matmul(wob, tang[:, :, None])[:, :, 0]
+        tang = np.einsum("eqc,ec->eq", vals, mesh.edge_canon_tangent[family])
+        wob = space._weights(SMOOTH_DEGREE, family)
+        g = (2 * np.arange(space.k + 1) + 1) * np.matmul(wob, tang[:, :, None])[:, :, 0]
         return FieldCoefficients(space, g.ravel(), t)
 
-    # Edge moments of the value (pressure) or of the normal component
-    # (velocity on dual edges; each row of the matrix field on primal edges).
-    edges = mesh.dual_edges if space.kind == VELOCITY else mesh.primal_edges
-    vals, wob = on_edges(edges)
-    normal = vals
-    if space.kind != PRESSURE:
-        normal = np.einsum("eq...c,ec->eq...", vals, mesh.edge_canon_normal[edges])
-    parts = [np.einsum("emq,eq...->e...m", wob, normal)]
-    if space.kind == GRADIENT:
-        # Tangential moments on each triangle's own primal edge; for a
-        # smooth field both sides agree, so the edge values are reused.
-        pos = _positions(edges, mesh.n_edges)[mesh.tri_pedge]
-        tang = np.einsum("eqrc,ec->eqr", vals, mesh.edge_canon_tangent[edges])
-        parts.append(np.einsum("emq,eqr->erm", wob, tang)[pos])
-    nk1 = space.nk1
-    if nk1:
-        ttab = tri_tables(mesh, k, SMOOTH_DEGREE)
-        nt, nq = ttab.w.shape
-        tvals = _field_values(space, fieldfn, ttab.pts.reshape(-1, 2))
-        tvals = tvals.reshape((nt, nq) + tvals.shape[1:])
-        wob = ttab.val[:, :nk1] * (ttab.w / mesh.tri_areas()[:, None])[:, None]
-        parts.append(np.einsum("tmq,tq...->t...m", wob, tvals))
-    g = np.concatenate([part.ravel() for part in parts])
+    # Every group's moments of the field, as in DofSpace._functional_matrices,
+    # with the field sampled once per edge of the family and gathered to
+    # the triangles; both sides of a shared edge write the same numbers.
+    pos = _positions(family, mesh.n_edges)
+    local = []
+    for edges, C, _ in space._groups():
+        if edges is None:
+            f = sample(tri_tables(mesh, space.k, SMOOTH_DEGREE).pts)
+        else:
+            f = vals[pos[edges]]
+        proj = np.einsum("tqj,tij->tqi", f, C)
+        wob = space._weights(SMOOTH_DEGREE, edges)
+        local.append(np.einsum("tmq,tqi->tim", wob, proj).reshape(mesh.n_triangles, -1))
+    g = np.empty(space.global_dim)
+    g[space.dof_map] = np.concatenate(local, axis=1)
     return FieldCoefficients(space, g, t)
 
 

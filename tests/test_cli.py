@@ -150,6 +150,19 @@ def test_check_tables_rejects_bad_header():
         check_tables([_row()], "a,b,c\n1,2,3\n")
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        _ref_line(1e-2, "N/A", 1e-1, "N/A", 5e-2, "N/A") + ",1",
+        _ref_line(1e-2, "N/A", 1e-1, "N/A", 5e-2, "N/A").replace("1.000000e-02", "abc"),
+        _ref_line(1e-2, "N/A", 1e-1, "N/A", 5e-2, "N/A").replace(",2,4,", ",2.5,4,"),
+    ],
+)
+def test_check_tables_rejects_malformed_rows(line):
+    with pytest.raises(ConfigError, match="malformed row"):
+        check_tables([_row()], "\n".join([CSV_HEADER, line]))
+
+
 # ----- end-to-end runs ----------------------------------------------------------
 
 

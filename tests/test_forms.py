@@ -33,6 +33,7 @@ from sdgflow.spaces import (
     build_space,
     interpolate,
 )
+from _oracles import drag_jacobian
 from test_spaces import perturbed_mesh
 
 
@@ -208,14 +209,15 @@ def test_picard_weighted_mass_consistency():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_drag_mass_assembler_matches_reference(k):
-    # The precomputed fast path must reproduce assemble_mass exactly.
+    # The precomputed fast path must reproduce the Jacobian integrated
+    # triangle by triangle.
     mesh = perturbed_mesh(3, seed=4)
     u = build_space(mesh, VELOCITY, k)
     fast = DragMassAssembler(u)
     rng = np.random.default_rng(77)
     for _ in range(3):
         coeffs = rng.standard_normal(u.global_dim)
-        ref = assemble_mass(u, weight=FieldCoefficients(u, coeffs)).toarray()
+        ref = drag_jacobian(u, coeffs).toarray()
         got = fast(coeffs).toarray()
         np.testing.assert_allclose(got, ref, atol=1e-13 * np.abs(ref).max())
     with pytest.raises(ValueError):
@@ -237,7 +239,7 @@ def test_drag_jacobian(k):
 
     for _ in range(2):
         c = rng.standard_normal(u.global_dim)
-        J = drag(c, jacobian=True)
+        J = drag(c)
         d = rng.standard_normal(u.global_dim)
         h = 1e-6
         fd = (residual(c + h * d) - residual(c - h * d)) / (2.0 * h)
@@ -246,14 +248,14 @@ def test_drag_jacobian(k):
         np.testing.assert_allclose(J @ c, twice, atol=1e-12 * np.abs(twice).max())
         dense = J.toarray()
         np.testing.assert_allclose(dense, dense.T, atol=1e-14 * np.abs(dense).max())
-    rest = drag(np.zeros(u.global_dim), jacobian=True)
+    rest = drag(np.zeros(u.global_dim))
     assert rest.shape == (u.global_dim, u.global_dim) and not rest.data.any()
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_apply_drag_matches_drag_matrices(k):
-    # The matrix-free D(c) c equals the drag mass and half the Jacobian
-    # applied to c itself, and vanishes at rest.
+    # The matrix-free D(c) c equals the speed-weighted mass and half the
+    # Jacobian applied to c itself, and vanishes at rest.
     mesh = perturbed_mesh(3, seed=4)
     u = build_space(mesh, VELOCITY, k)
     drag = DragMassAssembler(u)
@@ -261,7 +263,8 @@ def test_apply_drag_matches_drag_matrices(k):
     for _ in range(3):
         c = rng.standard_normal(u.global_dim)
         got = apply_drag(u, c)
-        for want in (drag(c) @ c, 0.5 * (drag(c, jacobian=True) @ c)):
+        mass = assemble_mass(u, weight=FieldCoefficients(u, c))
+        for want in (mass @ c, 0.5 * (drag(c) @ c)):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     rest = apply_drag(u, np.zeros(u.global_dim))
     assert rest.shape == (u.global_dim,) and not rest.any()
@@ -281,7 +284,7 @@ def test_velocity_pattern_fits_the_drag_matrices(k):
     pairs = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     pairs.sum_duplicates()
     assert np.array_equal(indptr, pairs.indptr) and np.array_equal(indices, pairs.indices)
-    J = DragMassAssembler(u)(np.random.default_rng(3).standard_normal(n), jacobian=True)
+    J = DragMassAssembler(u)(np.random.default_rng(3).standard_normal(n))
     assert J.has_canonical_format
     assert np.array_equal(J.indptr, indptr) and np.array_equal(J.indices, indices)
     # Every local entry's slot holds its own (row, column) pair.

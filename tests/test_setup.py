@@ -18,10 +18,11 @@ import scipy.sparse as sp
 
 import _oracles as ref
 from sdgflow import spaces
-from sdgflow.mesh import build_rectangle_mesh, build_staggered, read_polygon_mesh
+from sdgflow.mesh import PrimalMesh, build_rectangle_mesh, build_staggered, read_polygon_mesh
 from sdgflow.solver import build_operators
 from sdgflow.spaces import GRADIENT, PRESSURE, TRACE, VELOCITY, interpolate
 from test_forms import flipped
+from test_mesh import honeycomb
 from test_spaces import perturbed_mesh
 
 
@@ -72,6 +73,7 @@ MESHES = {
     "perturbed": lambda: perturbed_mesh(4),
     "flipped": lambda: flipped(perturbed_mesh(4)),
     "polygons": lambda: trapezoid_mesh(4),
+    "hexagons": lambda: build_staggered(PrimalMesh(*honeycomb(4))),
 }
 
 KINDS = (VELOCITY, GRADIENT, PRESSURE, TRACE)
@@ -101,7 +103,7 @@ def smooth_field(kind):
     return fn
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))
 def test_batched_setup_matches_loop_reference(mesh_name, k):
     mesh = MESHES[mesh_name]()
@@ -142,8 +144,13 @@ def test_batched_setup_matches_loop_reference(mesh_name, k):
         "mp": ref.loop_pressure_integral(p),
         "p_const": ref.loop_interpolate(p, lambda pts: np.ones(len(pts))),
     }
+    # The operators are compressed through E, and their roundoff grows
+    # with the conditioning of the scaled-monomial functional matrices:
+    # at k = 3, mp differs from the oracle's by up to 4e-14 relative (on
+    # the trapezoids; BU by 1.5e-14), while E itself stays within 1e-14.
+    op_tol = 1e-14 if k <= 2 else 1e-13
     for name, matrix in expected.items():
-        assert rel(getattr(ops, name), matrix) <= 1e-14, name
+        assert rel(getattr(ops, name), matrix) <= op_tol, name
 
     for kind in KINDS:
         fn = smooth_field(kind)

@@ -236,6 +236,31 @@ def test_gradient_polynomial_reproduction():
     assert l2_error(space, fc.values, flat) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_interpolation_samples_the_field_once(k):
+    # One call on the edges that carry the shared moments (the trace's
+    # dual edges included) and, with interior moments, one on the
+    # triangles: a shared edge is not sampled once per side.
+    mesh = perturbed_mesh(2, seed=1)
+    nq_edge = spaces.edge_tables(mesh, k, spaces.SMOOTH_DEGREE).w.shape[1]
+    tri_nodes = spaces.tri_tables(mesh, k, spaces.SMOOTH_DEGREE).w.size
+    shapes = {VELOCITY: (2,), GRADIENT: (2, 2), PRESSURE: (), TRACE: (2,)}
+    for kind, edges in (
+        (VELOCITY, mesh.dual_edges),
+        (GRADIENT, mesh.primal_edges),
+        (PRESSURE, mesh.primal_edges),
+        (TRACE, mesh.dual_edges),
+    ):
+        calls = []
+
+        def field(pts):
+            calls.append(len(pts))
+            return np.ones((len(pts),) + shapes[kind])
+
+        interpolate(build_space(mesh, kind, k), field)
+        want = [len(edges) * nq_edge] + ([tri_nodes] if k and kind != TRACE else [])
+        assert calls == want, kind
+
 def test_evaluate_zero_coefficients():
     space = build_space(staggered(2), VELOCITY, 1)
     fc = FieldCoefficients(space, np.zeros(space.global_dim))
