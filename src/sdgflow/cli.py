@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import astuple, dataclass, field
+from itertools import groupby
 from pathlib import Path
-
-import numpy as np
 
 from .mesh import build_rectangle_mesh, build_staggered
 from .solver import (
@@ -22,15 +21,15 @@ from .solver import (
     ModelParams,
     SolverError,
     build_operators,
-    run_transient,
     write_step_log,
 )
 from .verify import (
+    ManufacturedProblem,
     StudyRow,
+    ZeroProblem,
     default_steps,
-    error_l2,
-    observed_orders,
     run_manufactured,
+    with_orders,
 )
 
 _SCHEMES = {
@@ -41,7 +40,7 @@ _SCHEMES = {
 }
 _SCHEME_NAMES = {BACKWARD_EULER: "backward-euler", BDF2: "bdf2"}
 _MODES = ("single", "convergence", "sweep")
-_PROBLEMS = ("manufactured", "zero")
+_PROBLEMS = {"manufactured": ManufacturedProblem, "zero": ZeroProblem}
 CSV_HEADER = "epsilon,alpha,beta,scheme,inv_h,N,err_u,ord_u,err_L,ord_L,err_p,ord_p"
 
 
@@ -67,24 +66,6 @@ class RunConfig:
     out: str | None = None
     quiet: bool = False
     step_log: bool = False
-
-
-@dataclass(frozen=True)
-class TableRow:
-    """One line of the result table; orders are None on the first row."""
-
-    epsilon: float
-    alpha: float
-    beta: float
-    scheme: str
-    inv_h: int
-    n_steps: int
-    err_u: float
-    ord_u: float | None
-    err_L: float
-    ord_L: float | None
-    err_p: float
-    ord_p: float | None
 
 
 # ----- config parsing ---------------------------------------------------------
@@ -235,6 +216,9 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(
                 "sweep mode needs exactly one of epsilon/alpha/beta as a list"
             )
+        swept = getattr(cfg, lists[0])
+        if len(set(swept)) != len(swept):
+            raise ConfigError(f"key '{lists[0]}': a sweep value is repeated")
     elif lists:
         raise ConfigError(
             f"key '{lists[0]}': lists are only allowed in sweep mode"
@@ -246,58 +230,7 @@ def validate_config(cfg: RunConfig) -> None:
                 raise ConfigError(f"key '{key}': value {v!r} out of range")
 
 
-def render_config(cfg: RunConfig) -> str:
-    """Inverse of parse_config: parse(render(cfg)) equals cfg."""
-
-    def fmt(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, list):
-            return "[" + ", ".join(fmt(x) for x in v) + "]"
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    lines = [
-        f"mode = {cfg.mode}",
-        f"mesh = {fmt(cfg.mesh)}",
-        f"timesteps = {fmt(cfg.timesteps)}",
-        f"scheme = {_SCHEME_NAMES[cfg.scheme]}",
-        f"k = {cfg.k}",
-        f"epsilon = {fmt(cfg.epsilon)}",
-        f"alpha = {fmt(cfg.alpha)}",
-        f"beta = {fmt(cfg.beta)}",
-        f"final_time = {repr(cfg.final_time)}",
-        f"problem = {cfg.problem}",
-        f"quiet = {fmt(cfg.quiet)}",
-        f"step_log = {fmt(cfg.step_log)}",
-    ]
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
-    return "\n".join(lines) + "\n"
-
-
 # ----- execution ---------------------------------------------------------------
-
-
-def _zero_exact(kind):
-    shape = {"u": (2,), "L": (2, 2), "p": ()}[kind]
-    return lambda pts, t: np.zeros((len(pts), *shape))
-
-
-def _run_zero(n, n_steps, params, scheme, k, final_time, ops):
-    """f = 0 from rest: the trajectory and all errors are exactly zero."""
-    res = run_transient(
-        ops, params, None, dt=final_time / n_steps, n_steps=n_steps, scheme=scheme
-    )
-    row = StudyRow(
-        inv_h=n,
-        n_steps=n_steps,
-        err_u=error_l2(res.u, _zero_exact("u"), final_time),
-        err_L=error_l2(res.L, _zero_exact("L"), final_time),
-        err_p=error_l2(res.p, _zero_exact("p"), final_time),
-    )
-    return row, res
 
 
 def _sweep_cells(cfg: RunConfig):
@@ -315,58 +248,33 @@ def _sweep_cells(cfg: RunConfig):
 def run_config(cfg: RunConfig):
     """Execute all runs of a config.
 
-    Returns (rows, reports) where rows are TableRows in output order and
+    Returns (rows, reports) where rows are StudyRows in output order and
     reports are the per-step diagnostics of the last run (for the
     optional step log).
     """
     ops_cache = {}
-    rows: list[TableRow] = []
+    rows: list[StudyRow] = []
     reports = None
     for eps, alpha, beta in _sweep_cells(cfg):
         params = ModelParams(epsilon=eps, alpha=alpha, beta=beta)
-        block: list[StudyRow] = []
+        block = []
         for n, n_steps in zip(cfg.mesh, cfg.timesteps):
             if n not in ops_cache:
                 mesh = build_staggered(build_rectangle_mesh(n, n))
                 ops_cache[n] = build_operators(mesh, cfg.k)
-            if cfg.problem == "zero":
-                row, res = _run_zero(
-                    n, n_steps, params, cfg.scheme, cfg.k, cfg.final_time, ops_cache[n]
-                )
-            else:
-                row, res = run_manufactured(
-                    n,
-                    n_steps,
-                    params,
-                    cfg.scheme,
-                    cfg.k,
-                    cfg.final_time,
-                    ops=ops_cache[n],
-                )
+            row, res = run_manufactured(
+                n,
+                n_steps,
+                params,
+                cfg.scheme,
+                cfg.k,
+                cfg.final_time,
+                ops=ops_cache[n],
+                problem=_PROBLEMS[cfg.problem],
+            )
             block.append(row)
             reports = res.reports
-        hs = [1.0 / r.inv_h for r in block]
-        ords = {
-            col: observed_orders([getattr(r, col) for r in block], hs=hs)
-            for col in ("err_u", "err_L", "err_p")
-        }
-        for i, r in enumerate(block):
-            rows.append(
-                TableRow(
-                    epsilon=eps,
-                    alpha=alpha,
-                    beta=beta,
-                    scheme=cfg.scheme,
-                    inv_h=r.inv_h,
-                    n_steps=r.n_steps,
-                    err_u=r.err_u,
-                    ord_u=None if i == 0 else float(ords["err_u"][i]),
-                    err_L=r.err_L,
-                    ord_L=None if i == 0 else float(ords["err_L"][i]),
-                    err_p=r.err_p,
-                    ord_p=None if i == 0 else float(ords["err_p"][i]),
-                )
-            )
+        rows += with_orders(block)
     return rows, reports
 
 
@@ -377,11 +285,10 @@ def _fmt_ord(v, width=7):
     return ("N/A" if v is None else f"{v:.2f}").rjust(width)
 
 
-def format_table(rows: list[TableRow], cfg: RunConfig) -> str:
+def format_table(rows: list[StudyRow], cfg: RunConfig) -> str:
     """Aligned text blocks, one per parameter cell, Error/Order layout."""
     out = []
-    for eps, alpha, beta in _sweep_cells(cfg):
-        block = [r for r in rows if (r.epsilon, r.alpha, r.beta) == (eps, alpha, beta)]
+    for (eps, alpha, beta), block in groupby(rows, lambda r: (r.epsilon, r.alpha, r.beta)):
         out.append(
             f"epsilon = {eps:g}  alpha = {alpha:g}  beta = {beta:g}  "
             f"scheme = {_SCHEME_NAMES[cfg.scheme]}  k = {cfg.k}  T = {cfg.final_time:g}"
@@ -405,8 +312,8 @@ _COLUMNS = CSV_HEADER.split(",")
 _KEY = _COLUMNS[:6]
 
 
-def _csv_values(r: TableRow) -> dict:
-    """A row's values by CSV column (TableRow's fields are in that order)."""
+def _csv_values(r: StudyRow) -> dict:
+    """A row's values by CSV column (StudyRow's fields are in that order)."""
     values = dict(zip(_COLUMNS, astuple(r)))
     values["scheme"] = _SCHEME_NAMES[r.scheme]
     return values
@@ -431,7 +338,7 @@ def _csv_value(name: str, text: str):
     return None if text == "N/A" and name.startswith("ord_") else float(text)
 
 
-def csv_lines(rows: list[TableRow]) -> list[str]:
+def csv_lines(rows: list[StudyRow]) -> list[str]:
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(",".join(_csv_text(n, v) for n, v in _csv_values(r).items()))
@@ -455,7 +362,7 @@ def _parse_ref_csv(text: str) -> list[dict]:
     return ref
 
 
-def check_tables(rows: list[TableRow], ref_text: str) -> list[str]:
+def check_tables(rows: list[StudyRow], ref_text: str) -> list[str]:
     """Compare produced rows against a reference CSV.
 
     Rows match on the values of the key columns. Errors must agree
@@ -519,6 +426,7 @@ def main(argv=None) -> int:
         ref_text = None
         if args.check_tables:
             ref_text = Path(args.check_tables).read_text()
+            _parse_ref_csv(ref_text)  # a malformed reference fails before any run
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -539,11 +447,7 @@ def main(argv=None) -> int:
             write_step_log(out_dir / "steps.csv", reports)
 
     if ref_text is not None:
-        try:
-            failures = check_tables(rows, ref_text)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
+        failures = check_tables(rows, ref_text)
         if failures:
             for f in failures:
                 print(f"table regression: {f}", file=sys.stderr)

@@ -291,9 +291,7 @@ def write_step_log(path, reports) -> None:
 class TransientResult:
     """Final fields of a transient run plus per-step diagnostics.
 
-    ``p`` has zero mean. ``mu`` is identically 0.0: the pressure is
-    normalised without a multiplier, and the field stays for API
-    compatibility.
+    ``p`` has zero mean.
     """
 
     ops: Operators
@@ -304,7 +302,6 @@ class TransientResult:
     L: FieldCoefficients
     uhat: FieldCoefficients
     p: FieldCoefficients
-    mu: float
     reports: list
 
 
@@ -556,8 +553,8 @@ def run_transient(
     Returns
     -------
     TransientResult
-        Final fields (the pressure with zero mean), ``mu = 0.0`` and
-        the step diagnostics.
+        Final fields (the pressure with zero mean) and the step
+        diagnostics.
     """
     if scheme not in (BACKWARD_EULER, BDF2):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -666,6 +663,5 @@ def run_transient(
         L=FieldCoefficients(W, L, t=t_final),
         uhat=FieldCoefficients(T, x[sl_t] if se > 0.0 else np.zeros(T.global_dim), t=t_final),
         p=FieldCoefficients(P, p, t=t_final),
-        mu=0.0,
         reports=reports,
     )

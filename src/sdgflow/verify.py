@@ -5,12 +5,13 @@ sinusoidal time factor and a mean-zero pressure on the unit square. The
 forcing is hand-coded from its analytic derivatives as a sum of spatial
 fields times time factors (see ManufacturedProblem.forcing_terms), so a
 run assembles the load of each field once; the test suite cross-checks
-every derivative against finite differences.
+every derivative against finite differences. ZeroProblem is the same
+harness with no source, whose exact fields are all zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,7 +141,25 @@ class ManufacturedProblem:
         ]
 
     def forcing(self, pts, t):
-        return sum(a(t) * g(pts) for a, g in self.forcing_terms())
+        zero = np.zeros((len(pts), 2))
+        return sum((a(t) * g(pts) for a, g in self.forcing_terms()), zero)
+
+
+class ZeroProblem(ManufacturedProblem):
+    """No source from rest: the trajectory and every exact field are zero,
+    so every error is exactly zero."""
+
+    def velocity(self, pts, t):
+        return np.zeros((len(pts), 2))
+
+    def pressure(self, pts, t):
+        return np.zeros(len(pts))
+
+    def velocity_gradient(self, pts, t):
+        return np.zeros((len(pts), 2, 2))
+
+    def forcing_terms(self):
+        return []
 
 
 def error_l2(fc: FieldCoefficients, exact, t: float) -> float:
@@ -233,15 +252,38 @@ def pressure_seminorm(fc: FieldCoefficients) -> float:
     return total ** (2.0 / 3.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StudyRow:
-    """Errors of one mesh/step pair at the final time."""
+    """One run of a study: its parameters and scheme, its errors at the
+    final time and the observed orders (None on a study's first row, and
+    until with_orders fills them in). The fields are in the order of the
+    CLI's CSV columns."""
 
+    epsilon: float
+    alpha: float
+    beta: float
+    scheme: str
     inv_h: int
     n_steps: int
     err_u: float
+    ord_u: float | None = None
     err_L: float
+    ord_L: float | None = None
     err_p: float
+    ord_p: float | None = None
+
+
+def with_orders(rows: list[StudyRow]) -> list[StudyRow]:
+    """The rows of one study with the orders observed between consecutive
+    mesh sizes filled in."""
+    hs = [1.0 / r.inv_h for r in rows]
+    orders = {
+        c: observed_orders([getattr(r, "err_" + c) for r in rows], hs=hs) for c in "uLp"
+    }
+    return [
+        replace(r, **{"ord_" + c: None if i == 0 else float(orders[c][i]) for c in "uLp"})
+        for i, r in enumerate(rows)
+    ]
 
 
 def default_steps(mesh_sizes, scheme: str) -> list[int]:
@@ -261,14 +303,16 @@ def run_manufactured(
     final_time: float = 0.1,
     picard: PicardConfig = PicardConfig(),
     ops=None,
+    problem=ManufacturedProblem,
 ) -> tuple[StudyRow, TransientResult]:
-    """Solve the manufactured problem on an n-by-n grid; return final
-    errors and the full result. ``ops`` may carry prebuilt operators for
-    the same n and k (parameter sweeps reuse them across runs)."""
+    """Solve a problem (by default the manufactured one) on an n-by-n
+    grid; return its row, without orders, and the full result. ``ops``
+    may carry prebuilt operators for the same n and k (parameter sweeps
+    reuse them across runs)."""
     if ops is None:
         mesh = build_staggered(build_rectangle_mesh(n, n))
         ops = build_operators(mesh, k)
-    prob = ManufacturedProblem(params, final_time)
+    prob = problem(params, final_time)
     res = run_transient(
         ops,
         params,
@@ -279,6 +323,10 @@ def run_manufactured(
         picard=picard,
     )
     row = StudyRow(
+        epsilon=params.epsilon,
+        alpha=params.alpha,
+        beta=params.beta,
+        scheme=scheme,
         inv_h=n,
         n_steps=n_steps,
         err_u=error_l2(res.u, prob.velocity, final_time),
@@ -299,8 +347,9 @@ def convergence_study(
     """Run the manufactured problem over a refinement schedule."""
     if len(mesh_sizes) != len(n_steps_list):
         raise ValueError("mesh sizes and step counts must pair up")
-    rows = []
-    for n, steps in zip(mesh_sizes, n_steps_list):
-        row, _ = run_manufactured(n, steps, params, scheme, k, final_time)
-        rows.append(row)
-    return rows
+    return with_orders(
+        [
+            run_manufactured(n, steps, params, scheme, k, final_time)[0]
+            for n, steps in zip(mesh_sizes, n_steps_list)
+        ]
+    )

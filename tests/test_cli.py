@@ -7,13 +7,12 @@ from sdgflow import cli
 from sdgflow.cli import (
     CSV_HEADER,
     ConfigError,
-    TableRow,
     check_tables,
     main,
     parse_config,
-    render_config,
 )
 from sdgflow.solver import BACKWARD_EULER, BDF2, SolverError
+from sdgflow.verify import StudyRow
 
 
 # ----- parsing ----------------------------------------------------------------
@@ -69,24 +68,12 @@ def test_comments_and_blank_lines():
         ("mesh = 2\nmode = sweep\n", "sweep"),
         ("mesh = 2\nmode = sweep\nepsilon = [1]\nbeta = [1, 2]\n", "sweep"),
         ("mesh = 2\nquiet = 3\n", "quiet"),
+        ("mesh = 2\nmode = sweep\nepsilon = [1, 1]\n", "repeated"),
     ],
 )
 def test_parse_errors_name_the_problem(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "mesh = [2, 4]\nmode = convergence\ntimesteps = [4, 16]\nepsilon = 1e-8\n",
-        "mesh = [2, 4, 8]\nmode = sweep\nbeta = [1.0, 100.0, 1e4]\nscheme = bdf2\n",
-        "mesh = 3\nproblem = zero\nquiet = true\nstep_log = true\nout = artifacts\n",
-    ],
-)
-def test_render_parse_round_trip(text):
-    cfg = parse_config(text)
-    assert parse_config(render_config(cfg)) == cfg
 
 
 def test_overrides_are_validated():
@@ -114,7 +101,7 @@ def _row(**kw):
         ord_p=None,
     )
     base.update(kw)
-    return TableRow(**base)
+    return StudyRow(**base)
 
 
 def _ref_line(eu, ou, eL, oL, ep, op, inv_h=2, n=4):
@@ -225,15 +212,19 @@ def test_csv_output_deterministic(tmp_path):
 def test_sweep_blocks(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
-        "mode = sweep\nmesh = [2]\nepsilon = [1, 1e-2]\nproblem = zero\n",
+        "mode = sweep\nmesh = [2]\nepsilon = [1, 1e-2, 0]\nproblem = zero\n",
     )
     out = tmp_path / "sweep"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     text = capsys.readouterr().out
-    assert text.count("epsilon =") == 2
+    assert text.count("epsilon =") == 3
     lines = (out / "results.csv").read_text().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert lines[1].startswith("1.0,") and lines[2].startswith("0.01,")
+    assert lines[3].startswith("0.0,")
+    # Every cell, the Darcy limit eps = 0 included, has exactly zero errors.
+    for line in lines[1:]:
+        assert line.split(",")[6::2] == ["0.000000e+00"] * 3
 
 
 def test_strong_drag_sweep_converges(tmp_path):
@@ -269,3 +260,16 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_config", boom)
     assert main(["solve", "--config", ok]) == 2
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_malformed_reference_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path, "mesh = 2\nproblem = zero\n")
+    ref = tmp_path / "ref.csv"
+    ref.write_text("a,b,c\n1,2,3\n")
+
+    def must_not_run(cfg):
+        raise AssertionError("the study ran before its reference was checked")
+
+    monkeypatch.setattr(cli, "run_config", must_not_run)
+    assert main(["solve", "--config", cfg, "--check-tables", str(ref)]) == 1
+    assert "reference CSV" in capsys.readouterr().err

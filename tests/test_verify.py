@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from sdgflow import cli
 from sdgflow.mesh import build_rectangle_mesh, build_staggered
-from sdgflow.solver import BDF2, ModelParams
+from sdgflow.solver import BDF2, ModelParams, run_transient
 from sdgflow.spaces import (
     GRADIENT,
     PRESSURE,
@@ -16,6 +17,7 @@ from sdgflow.spaces import (
 )
 from sdgflow.verify import (
     ManufacturedProblem,
+    ZeroProblem,
     convergence_study,
     default_steps,
     error_l2,
@@ -270,6 +272,14 @@ def test_run_manufactured_row_consistency():
     assert row.err_p == error_l2(res.p, PROB.pressure, T)
 
 
+def test_zero_problem_is_exactly_zero():
+    # Its separated and callable sources both leave the fields at rest.
+    row, res = run_manufactured(2, 4, PARAMS, problem=ZeroProblem)
+    assert (row.err_u, row.err_L, row.err_p) == (0.0, 0.0, 0.0)
+    callable_res = run_transient(res.ops, PARAMS, ZeroProblem(PARAMS).forcing, 0.025, 4)
+    assert not callable_res.u.values.any() and not callable_res.p.values.any()
+
+
 def test_convergence_study_refines():
     rows = convergence_study([2, 4], [4, 16], PARAMS)
     assert rows[0].err_u > rows[1].err_u
@@ -277,6 +287,17 @@ def test_convergence_study_refines():
     assert rows[0].err_p > rows[1].err_p
     order = observed_orders([r.err_u for r in rows])[-1]
     assert 1.5 < order < 2.5
+
+
+def test_convergence_study_matches_cli_rows():
+    # The library study and the CLI report equal rows, parameters, scheme
+    # and orders included.
+    cfg = cli.parse_config(
+        "mode = convergence\nmesh = [2, 4]\ntimesteps = [4, 16]\nbeta = 10\n"
+    )
+    rows, _ = cli.run_config(cfg)
+    assert rows == convergence_study([2, 4], [4, 16], ModelParams(1.0, 1.0, 10.0))
+    assert rows[0].ord_u is None and 1.5 < rows[1].ord_u < 2.5
 
 
 def test_convergence_study_bdf2_refines():
