@@ -28,6 +28,8 @@ OUT = ROOT / "perfbench" / "out"
 # Per-layer counts printed for every traced run.
 COUNTS = (
     "solver.sweeps",
+    "solver.max_sweeps_per_step",
+    "solver.worst_residual",
     "solver.factorizations",
     "solver.trisolves",
     "forms.drag_mass_calls",

@@ -9,6 +9,7 @@ regression-checked against a reference file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import astuple, dataclass, field
 from itertools import groupby
@@ -362,12 +363,17 @@ def _parse_ref_csv(text: str) -> list[dict]:
     return ref
 
 
+def _orders_agree(g: float, w: float) -> bool:
+    return abs(g - w) <= 0.2 or (math.isnan(g) and math.isnan(w))
+
+
 def check_tables(rows: list[StudyRow], ref_text: str) -> list[str]:
     """Compare produced rows against a reference CSV.
 
     Rows match on the values of the key columns. Errors must agree
-    within a factor 1.5 either way, orders within 0.2; every reference
-    row must be present. Returns failure descriptions.
+    within a factor 1.5 either way, orders within 0.2, and a NaN order
+    matches only a NaN order; every reference row must be present.
+    Returns failure descriptions.
     """
     produced = {tuple(v[c] for c in _KEY): v for v in map(_csv_values, rows)}
     failures = []
@@ -382,7 +388,7 @@ def check_tables(rows: list[StudyRow], ref_text: str) -> list[str]:
             if name.startswith("err_"):
                 if not (g == 0.0 if w == 0.0 else w / 1.5 <= g <= w * 1.5):
                     failures.append(f"{key}: {name} = {g:.3e}, reference {w:.3e}")
-            elif w is not None and (g is None or abs(g - w) > 0.2):
+            elif w is not None and (g is None or not _orders_agree(g, w)):
                 g_s = "N/A" if g is None else f"{g:.2f}"
                 failures.append(f"{key}: {name} = {g_s}, reference {w:.2f}")
     return failures

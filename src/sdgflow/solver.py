@@ -36,11 +36,16 @@ Factorizations are reused across sweeps and steps through iterative
 refinement, since the Jacobian drifts slowly between them, and are
 rebuilt only when refinement stops contracting; a change of the
 time-derivative weight (BDF2's second step) drops the held factor, since
-the matrix then jumps. A step's first sweep starts refinement from the
-step vector extrapolated from the last two steps, ``2 x_n - x_{n-1}``
-(the initial state at the first step), and each later sweep from the
-previous sweep's solution, so a sweep whose answer barely moved needs
-only one or two triangular solves. Either way
+the matrix then jumps. Refinement stops at ``|b - A x| <= 1e-14 (|b| +
+|A|_inf |x|)`` (REFINE_TOL). A step's first sweep starts refinement
+from the step vector predicted from the history of accepted steps (see
+_StepHistory): the Newton–Gregory sum of its backward differences up to
+fifth order, cut before the first difference whose velocity part stops
+shrinking, so a smooth history is extrapolated to high order and a jump
+or kink in the source lowers the order by itself (the initial state at
+the first step, ``2 x_n - x_{n-1}`` at the second). Each later sweep
+starts from the previous sweep's solution, so a sweep whose answer
+barely moved needs only one or two triangular solves. Either way
 the start's velocity is the sweep's linearization point, where the
 residual of the Newton system is the nonlinear residual and needs no
 Jacobian: ``D(u) u`` is applied without a matrix (forms.apply_drag). A
@@ -89,8 +94,13 @@ from .spaces import (
 
 BACKWARD_EULER = "be"
 BDF2 = "bdf2"
-# Refinement stops once |b - A x| <= REFINE_TOL (|b| + |A|_inf |x|).
-REFINE_TOL = 1e-13
+# Refinement stops once |b - A x| <= REFINE_TOL (|b| + |A|_inf |x|). The
+# stop is normwise over the whole step vector, so the velocity, the
+# smaller part of it, converges a decade or so behind; at 1e-13 a drag
+# run's velocity could stop 1e-9 short of the Newton solution.
+REFINE_TOL = 1e-14
+# Highest order of the step-history predictor (see _StepHistory).
+PREDICT_ORDER = 5
 
 
 class SolverError(RuntimeError):
@@ -303,6 +313,45 @@ class TransientResult:
     uhat: FieldCoefficients
     p: FieldCoefficients
     reports: list
+
+
+class _StepHistory:
+    """Backward differences of the accepted step vectors and the
+    Newton–Gregory prediction of the next one.
+
+    ``diffs[j]`` is ``∇^j x_n`` for ``j = 0..min(n, PREDICT_ORDER)``,
+    with ``∇^0 x_n = x_n`` and ``∇^j x_n = ∇^{j-1} x_n - ∇^{j-1}
+    x_{n-1}``; ``push`` updates the table with one subtraction per order.
+    ``predict`` sums ``x_n + ∇x_n + ∇^2 x_n + ...``, the polynomial
+    through the stored points evaluated one step ahead, and truncates
+    this asymptotic series before the first term of order two or more
+    whose norm over ``sl`` does not shrink against the previous term's:
+    a smooth history extrapolates to fifth order, a jump or kink drops
+    the order by itself. One point predicts itself, two points ``2 x_n -
+    x_{n-1}``. The norms are taken over ``sl`` alone so that the choice
+    depends only on those entries.
+    """
+
+    def __init__(self, x0: np.ndarray, sl: slice):
+        self.diffs = [x0]
+        self._sl = sl
+
+    def push(self, x: np.ndarray):
+        diffs = [x]
+        for d in self.diffs[:PREDICT_ORDER]:
+            diffs.append(diffs[-1] - d)
+        self.diffs = diffs
+
+    def predict(self) -> np.ndarray:
+        x = self.diffs[0].copy()
+        size = np.inf
+        for j, d in enumerate(self.diffs[1:], start=1):
+            d_size = float(np.linalg.norm(d[self._sl]))
+            if j >= 2 and not d_size < size:
+                break
+            x += d
+            size = d_size
+        return x
 
 
 def _l2(M: sp.csr_matrix, x: np.ndarray) -> float:
@@ -569,11 +618,9 @@ def run_transient(
     if u_prev.shape != (dim_u,):
         raise ValueError("initial velocity does not match the velocity space")
     u_prev2 = None
-    # The step vectors of the last two steps, both the initial state at
-    # the start.
     x = np.zeros(sl_p.stop)
     x[sl_u] = u_prev
-    x_prev = x
+    history = _StepHistory(x, sl_u)
     reports: list[StepReport] = []
     system = _StepSystem(ops, se, params.beta != 0.0)
     drag_mass = DragMassAssembler(U) if params.beta != 0.0 else None
@@ -597,9 +644,9 @@ def run_transient(
         b[sl_u] = hist + load(t_new)
 
         system.set_mass(sigma / dt + params.alpha)
-        # The first sweep starts from the extrapolated step vector; at the
-        # first step, 2 x0 - x0 is x0 exactly.
-        x, x_prev = 2.0 * x - x_prev, x
+        # The first sweep starts from the step vector predicted from the
+        # history; at the first step that is the initial state.
+        x = history.predict()
         increments: list[float] = []
         worst_resid = 0.0
         factors0, passes0 = system.factor_count, system.refine_count
@@ -630,6 +677,7 @@ def run_transient(
                 f"{picard.max_iter} sweeps (step {step}, last {inc:.2e})"
             )
 
+        history.push(x)
         u_prev2 = u_prev
         u_prev = x[sl_u]
         # The velocity and trace slices lead the step vector.

@@ -107,6 +107,25 @@ def drag_jacobian(U, coeffs):
     return (U.E.T @ sp.block_diag(blocks, format="csr") @ U.E).tocsr()
 
 
+def predicted_velocity(velocities, max_order=5):
+    """The next velocity extrapolated from ``velocities`` (oldest first).
+
+    Sums the backward differences ``D^j = np.diff(last points, j)[-1]``,
+    ``j = 0..max_order``, and stops before the first ``D^j`` with ``j >=
+    2`` whose norm is not below that of ``D^{j-1}``.
+    """
+    pts = np.array(velocities[-(max_order + 1) :])
+    guess, size = pts[-1].copy(), np.inf
+    for j in range(1, len(pts)):
+        d = np.diff(pts, n=j, axis=0)[-1]
+        d_size = np.linalg.norm(d)
+        if j >= 2 and not d_size < size:
+            break
+        guess += d
+        size = d_size
+    return guess
+
+
 def reference_transient(
     ops, params, f, dt, n_steps, scheme="be", tol=1e-9, max_iter=50, newton=False
 ):
@@ -123,6 +142,11 @@ def reference_transient(
     Newton's method, ``(m MU + beta J(u_k)) u_{k+1} = rhs + beta (J(u_k)
     - D(u_k)) u_k`` with ``J`` from :func:`drag_jacobian`.
 
+    A step's first sweep starts from the velocity extrapolated from the
+    past steps' velocities as the solver does (see
+    :func:`predicted_velocity`), and refinement stops at the solver's
+    ``REFINE_TOL``.
+
     Returns a dict with the final ``u``, ``L``, ``uhat``, ``p``, ``mu``,
     the drag sweeps of every step and the number of triangular solves.
     """
@@ -130,6 +154,7 @@ def reference_transient(
     from scipy.sparse.linalg import splu
 
     from sdgflow.forms import assemble_load, assemble_mass
+    from sdgflow.solver import REFINE_TOL
     from sdgflow.spaces import FieldCoefficients
 
     U = ops.velocity
@@ -193,7 +218,7 @@ def reference_transient(
             rg = -float(mp @ x[cols_p : cols_p + dp])
             scale = bnorm + anorm * np.linalg.norm(x) + 1e-300
             rn = float(np.hypot(np.linalg.norm(r), rg))
-            if rn <= 1e-13 * scale:
+            if rn <= REFINE_TOL * scale:
                 break
             if not fresh and rn > 0.125 * rn_prev:
                 refactor(A)
@@ -207,6 +232,7 @@ def reference_transient(
         return np.sqrt(max(v @ (ops.MU @ v), 0.0))
 
     u_prev, u_prev2 = np.zeros(du), None
+    velocities = [u_prev]
     x, mu, sweeps = np.zeros(n), 0.0, []
     for step in range(1, n_steps + 1):
         if scheme == "bdf2" and step >= 2:
@@ -217,7 +243,7 @@ def reference_transient(
             sigma, hist = 1.0, ops.MU @ (u_prev / dt)
         b = np.zeros(n)
         b[ou : ou + du] = hist + assemble_load(U, f, t=step * dt)
-        u_guess = u_prev.copy() if u_prev2 is None else 2.0 * u_prev - u_prev2
+        u_guess = predicted_velocity(velocities)
         for it in range(1, max_iter + 1):
             Au = (sigma / dt + params.alpha) * ops.MU
             b_it = b
@@ -240,6 +266,7 @@ def reference_transient(
             raise AssertionError(f"reference drag iteration stalled at step {step}")
         sweeps.append(it)
         u_prev2, u_prev = u_prev, u_guess
+        velocities.append(u_prev)
     zero = np.zeros(0)
     return {
         "u": u_prev,

@@ -132,6 +132,18 @@ def test_check_tables_flags_error_and_order():
     assert any("missing row" in f for f in failures)
 
 
+@pytest.mark.parametrize(
+    "got, want, agree",
+    [(2.0, "nan", False), (float("nan"), "2.00", False), (float("nan"), "nan", True)],
+)
+def test_check_tables_nan_order_matches_only_nan(got, want, agree):
+    rows = [_row(ord_u=got)]
+    ref = "\n".join([CSV_HEADER, _ref_line(1e-2, want, 1e-1, "N/A", 5e-2, "N/A")])
+    failures = check_tables(rows, ref)
+    assert len(failures) == (0 if agree else 1)
+    assert all("ord_u" in f for f in failures)
+
+
 def test_check_tables_rejects_bad_header():
     with pytest.raises(ConfigError, match="header"):
         check_tables([_row()], "a,b,c\n1,2,3\n")

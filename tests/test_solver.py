@@ -294,30 +294,32 @@ def _check_against_reference_step_loop(ops, eps, scheme, beta):
     # The reference solves the full system, with the scaled gradient as
     # an unknown; the library eliminates it and recovers it.
     params = ModelParams(eps, 1.0, beta)
-    dt, n = 0.02, 6
-    res = run_transient(ops, params, forcing, dt=dt, n_steps=n, scheme=scheme)
-    ref = reference_transient(ops, params, forcing, dt, n, scheme, newton=True)
-    names = ("u", "L", "uhat", "p") if eps > 0.0 else ("u", "p")
-    for name in names:
-        got, want = getattr(res, name).values, ref[name]
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
-    assert abs(ref["mu"]) <= 1e-10 * max(1.0, np.abs(ref["u"]).max())
-    assert [r.picard_iterations for r in res.reports] == ref["sweeps"]
-    assert sum(r.refine_passes for r in res.reports) <= ref["solves"]
-    assert res.reports[0].factorizations >= 1
-    if scheme == BDF2:
-        # The second step changes the time-derivative weight, so the step
-        # matrix jumps and the first step's factor is dropped.
-        assert res.reports[1].factorizations >= 1
-    assert all(r.refine_passes >= 1 for r in res.reports)
-    if beta != 0.0:
-        # Newton and the frozen-speed Picard iteration solve the same
-        # discrete step; a tightly converged Picard run fixes it
-        # independently, up to the linear solves' backward error.
-        picard = reference_transient(ops, params, forcing, dt, n, scheme, tol=1e-12)
+    # Checked after two steps and after six.
+    dt = 0.02
+    for n in (2, 6):
+        res = run_transient(ops, params, forcing, dt=dt, n_steps=n, scheme=scheme)
+        ref = reference_transient(ops, params, forcing, dt, n, scheme, newton=True)
+        names = ("u", "L", "uhat", "p") if eps > 0.0 else ("u", "p")
         for name in names:
-            got, want = getattr(res, name).values, picard[name]
-            assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), name
+            got, want = getattr(res, name).values, ref[name]
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
+        assert abs(ref["mu"]) <= 1e-10 * max(1.0, np.abs(ref["u"]).max())
+        assert [r.picard_iterations for r in res.reports] == ref["sweeps"]
+        assert sum(r.refine_passes for r in res.reports) <= ref["solves"]
+        assert res.reports[0].factorizations >= 1
+        if scheme == BDF2:
+            # The second step changes the time-derivative weight, so the step
+            # matrix jumps and the first step's factor is dropped.
+            assert res.reports[1].factorizations >= 1
+        assert all(r.refine_passes >= 1 for r in res.reports)
+        if beta != 0.0:
+            # Newton and the frozen-speed Picard iteration solve the same
+            # discrete step; a tightly converged Picard run fixes it
+            # independently, up to the linear solves' backward error.
+            picard = reference_transient(ops, params, forcing, dt, n, scheme, tol=1e-12)
+            for name in names:
+                got, want = getattr(res, name).values, picard[name]
+                assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), name
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e4])
@@ -422,3 +424,62 @@ def test_restart_from_initial_velocity_continues_the_run(perturbed_ops4, beta, e
     for name in ("u", "p"):
         got, want = getattr(rest, name).values, getattr(full, name).values
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
+
+
+def _polynomial_history(coeffs, h):
+    """Step vectors x(n) = sum_j coeffs[j] (n h)^j."""
+    return lambda n: sum(c * (n * h) ** j for j, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_step_history_extrapolates_polynomials(degree):
+    # Up to fifth order, once enough points are stored, the prediction is
+    # the next value of a polynomial history.
+    coeffs = np.random.default_rng(degree).uniform(-1.0, 1.0, (degree + 1, 7))
+    x = _polynomial_history(coeffs, 0.05)
+    history = solver._StepHistory(x(0), slice(0, 4))
+    for n in range(1, 10):
+        history.push(x(n))
+        if n >= degree:
+            np.testing.assert_allclose(history.predict(), x(n + 1), rtol=0, atol=1e-13)
+
+
+def test_step_history_truncates_before_a_jump():
+    # Zero up to step 2, then a quadratic: the fifth difference reaches
+    # back across the jump and is left out.
+    x = _polynomial_history(np.array([[1.0, -2.0], [0.5, 1.0], [-3.0, 2.0]]), 0.1)
+    history = solver._StepHistory(np.zeros(2), slice(None))
+    for n in range(1, 8):
+        history.push(x(n) if n >= 3 else np.zeros(2))
+    np.testing.assert_allclose(history.predict(), x(8), rtol=0, atol=1e-13)
+    assert np.abs(sum(history.diffs) - x(8)).max() > 0.1
+
+
+def test_step_history_from_one_and_two_points():
+    x0, x1 = np.array([1.0, -2.0, 3.0]), np.array([1.5, -1.0, 2.0])
+    history = solver._StepHistory(x0, slice(0, 2))
+    assert np.array_equal(history.predict(), x0)
+    history.push(x1)
+    np.testing.assert_allclose(history.predict(), 2.0 * x1 - x0, rtol=0, atol=1e-15)
+
+
+def test_finest_first_order_row_takes_few_triangular_solves():
+    # The 8x8 row of the first-order table: the predicted start leaves
+    # most steps one triangular solve from the stop.
+    _, res = run_manufactured(8, 64, ModelParams(1.0, 1.0, 1.0))
+    assert sum(r.refine_passes for r in res.reports) <= 1.25 * 64
+
+
+def test_strong_drag_converges_under_a_sign_flipping_source(perturbed_ops4):
+    # A source whose sign flips every three steps gives the predictor a
+    # history with kinks; the Newton loop still converges and matches the
+    # reference step loop.
+    params = ModelParams(1.0, 1.0, 1e4)
+    dt, n = 0.05, 12
+    flip = lambda pts, t: (1.0 if round(t / dt) % 6 < 3 else -1.0) * 100.0 * forcing(pts, 0.25)
+    res = run_transient(perturbed_ops4, params, flip, dt=dt, n_steps=n)
+    ref = reference_transient(perturbed_ops4, params, flip, dt, n, newton=True)
+    assert all(r.increments[-1] <= 1e-9 for r in res.reports)
+    assert [r.picard_iterations for r in res.reports] == ref["sweeps"]
+    got, want = res.u.values, ref["u"]
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
