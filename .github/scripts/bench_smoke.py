@@ -7,7 +7,10 @@ as JSON with ``"correct": true`` and ``"failed": 0``, an untraced run
 reports every end-to-end metric of BENCHMARK.json, and standard error
 has no ``not traced, absent`` line (a traced entry point the program no
 longer offers). For every traced run it prints one line with the
-solver's counts (COUNTS below); they are output only, not checked.
+solver's counts (COUNTS below), and fails when it assembled more drag
+Jacobians (``forms.drag_mass_calls``) than it made factorizations
+(``solver.factorizations``): the chord iteration assembles a Jacobian
+only to factor it.
 After the runs it reads ``perfbench/out/<workload>-trace{0,1}.json``
 and fails unless every unit of a workload's traced and untraced runs
 has the same ``output_sha256``, so that tracing does not change
@@ -73,8 +76,13 @@ def check(workload: str, trace: int, end_to_end: list) -> list:
         if absent:
             problems.append(f"{where}: end-to-end metrics absent: {', '.join(absent)}")
     else:
-        counts = (f"{name} {metrics.get(name, {}).get('value', 'absent')}" for name in COUNTS)
-        print(f"{workload}: " + ", ".join(counts))
+        counts = {name: metrics.get(name, {}).get("value") for name in COUNTS}
+        shown = (f"{name} {'absent' if v is None else v}" for name, v in counts.items())
+        print(f"{workload}: " + ", ".join(shown))
+        jacobians = counts["forms.drag_mass_calls"]
+        factors = counts["solver.factorizations"]
+        if jacobians is None or factors is None or jacobians > factors:
+            problems.append(f"{where}: {jacobians} drag Jacobians for {factors} factorizations")
     return problems
 
 

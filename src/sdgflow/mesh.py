@@ -144,8 +144,11 @@ class PrimalMesh:
         Non-positive polygon area, clockwise cycle, or self-intersection.
     MeshTopologyError
         An edge shared by more than two polygons, by two polygons in the
-        same direction, or a tiling whose polygon areas do not add up to
-        the area enclosed by its boundary.
+        same direction, or a tiling that is not a partition: its polygon
+        areas do not add up to the area enclosed by its boundary, two
+        boundary sides meet away from their end points, or a boundary loop
+        runs counterclockwise at an odd nesting depth or clockwise at an
+        even one.
     """
 
     def __init__(self, vertices, polygons):
@@ -243,13 +246,83 @@ class PrimalMesh:
 
     def _validate_partition(self):
         total = self.areas.sum()
-        outer = self.boundary_edge[self.side_edge]
+        outer = np.flatnonzero(self.boundary_edge[self.side_edge])
         pa, pb = self.vertices[self.side_from[outer]], self.vertices[self.side_to[outer]]
-        boundary = (0.5 * (pa[:, 0] * pb[:, 1] - pb[:, 0] * pa[:, 1])).sum()
+        cross = pa[:, 0] * pb[:, 1] - pb[:, 0] * pa[:, 1]
+        boundary = 0.5 * cross.sum()
         if abs(total - boundary) > 1e-12 * max(total, 1.0):
             raise MeshTopologyError(
                 f"polygon areas sum to {total:g} but the boundary encloses "
                 f"{boundary:g}; polygons overlap or leave gaps"
+            )
+
+        def side(i):
+            s = outer[i]
+            return (
+                f"boundary side {s} ({self.side_from[s]} -> {self.side_to[s]}) "
+                f"of polygon {self.side_poly[s]}"
+            )
+
+        # Overlaps the areas miss. First, boundary sides that cross or touch
+        # away from their end points: dist[i, j] is the signed distance of a
+        # point j from the line of side i, pos[i, j] its place along side i
+        # in units of the side's length.
+        tol = GEOM_TOL * np.ptp(self.vertices, axis=0).max()
+        d = pb - pa
+        length = np.hypot(d[:, 0], d[:, 1])[:, None]
+
+        def to_lines(pts):
+            rel = pts[None, :, :] - pa[:, None, :]
+            dist = (d[:, None, 0] * rel[..., 1] - d[:, None, 1] * rel[..., 0]) / length
+            pos = np.einsum("ijk,ik->ij", rel, d) / length**2
+            on = (np.abs(dist) <= tol) & (pos * length > tol) & ((1.0 - pos) * length > tol)
+            return dist, on
+
+        dist_a, on_a = to_lines(pa)
+        dist_b, on_b = to_lines(pb)
+        apart = (dist_a * dist_b < 0.0) & (np.abs(dist_a) > tol) & (np.abs(dist_b) > tol)
+        meet = (apart & apart.T) | on_a | on_b
+        meet = np.triu(meet | meet.T, 1)
+        if meet.any():
+            i, j = np.argwhere(meet)[0]
+            raise MeshTopologyError(
+                f"{side(i)} meets {side(j)}; polygons overlap or a vertex hangs"
+            )
+        # Second, the boundary loops: counterclockwise when nested in an
+        # even number of other loops, clockwise (a hole) when in an odd
+        # number. A side is followed by a side starting at its end vertex;
+        # where several loops pass one vertex they are paired in index
+        # order, which keeps every loop closed. Pointer doubling labels
+        # every side with the lowest side of its loop.
+        n = len(outer)
+        succ = np.empty(n, dtype=np.int64)
+        succ[np.argsort(self.side_to[outer], kind="stable")] = np.argsort(
+            self.side_from[outer], kind="stable"
+        )
+        label = np.arange(n)
+        for _ in range((n - 1).bit_length()):
+            label, succ = np.minimum(label, label[succ]), succ[succ]
+        first, loop = np.unique(label, return_inverse=True)
+        n_loops = len(first)
+        loop_area = np.bincount(loop, cross, n_loops)
+        # Winding number of every loop about the midpoint of the first side
+        # of every other loop.
+        rel_a = pa[None, :, :] - 0.5 * (pa[first] + pb[first])[:, None, :]
+        rel_b = rel_a + d[None, :, :]
+        angle = np.arctan2(
+            rel_a[..., 0] * rel_b[..., 1] - rel_a[..., 1] * rel_b[..., 0],
+            (rel_a * rel_b).sum(axis=-1),
+        )
+        winding = angle @ (loop[:, None] == np.arange(n_loops)) / (2.0 * np.pi)
+        np.fill_diagonal(winding, 0.0)
+        depth = (np.abs(winding) > 0.5).sum(axis=1)
+        wrong = np.flatnonzero((loop_area > 0.0) != (depth % 2 == 0))
+        if len(wrong):
+            k = wrong[0]
+            turn = "counterclockwise" if loop_area[k] > 0.0 else "clockwise"
+            raise MeshTopologyError(
+                f"{side(first[k])} is on a {turn} boundary loop at nesting depth "
+                f"{depth[k]}; polygons overlap"
             )
 
 

@@ -8,22 +8,26 @@ matrix ``MW`` is block diagonal, so the gradient equation ``MW L =
 sqrt(eps) (BU^T u + TH^T uhat)`` is solved for ``L`` block by block and
 ``L`` is eliminated (static condensation): the linear solves run on the
 velocity, trace and pressure alone, and ``L`` is recovered from the
-solution. The quadratic drag makes the system nonlinear; it is solved by
-Newton's method on the consistent drag Jacobian ``J(u)`` (see
-forms.DragMassAssembler), one linear solve per sweep, until the velocity
-increment falls below the tolerance. With no drag the step is a single
-linear solve. A vanishing diffusion coefficient removes the gradient and
-trace variables from the system entirely, which keeps the matrix
-nonsingular in the Darcy limit.
+solution. The quadratic drag makes the system nonlinear; each step solves
+it by the chord (simplified Newton) iteration ``x += LU^{-1} F(x)`` on
+the nonlinear residual ``F(x) = b - A_lin x - beta D(u) u``, with
+``A_lin`` the drag-free step matrix and ``D(u) u`` applied without a
+matrix (forms.apply_drag). ``LU`` factors the step matrix with the
+consistent drag Jacobian ``J(u)`` (see forms.DragMassAssembler) at the
+velocity of the pass that factored it. With no drag the iteration is
+iterative refinement of one linear solve. A vanishing diffusion
+coefficient removes the gradient and trace variables from the system
+entirely, which keeps the matrix nonsingular in the Darcy limit.
 
-A sweep changes only the velocity-velocity block of the step matrix, so
-the matrix lives on one sparsity pattern for the whole run, built with
-the run before its first sweep (see _StepSystem): the fixed blocks are
-assembled once, the mass and condensed-gradient part of the velocity
-block is rewritten only when the time-derivative weight changes, and a
-sweep writes the Jacobian values into the pattern in place through a
-fixed index map. The drag part of the pattern is known in advance: the
-pairs of velocity coefficients that share a triangle.
+The Jacobian changes only the velocity-velocity block of the step
+matrix, so the matrix lives on one sparsity pattern for the whole run,
+built with the run before its first step (see _StepSystem): the fixed
+blocks are assembled once, the mass and condensed-gradient part of the
+velocity block is rewritten only when the time-derivative weight
+changes, and a factorization writes the Jacobian values into the pattern
+in place through a fixed index map. The drag part of the pattern is
+known in advance: the pairs of velocity coefficients that share a
+triangle.
 
 Constant pressures span the nullspace of the step matrix on both sides,
 and the mass equations, whose right-hand side is zero, stay consistent.
@@ -32,28 +36,22 @@ step matrix pins one pressure coefficient in place of its mass equation,
 which makes it nonsingular (see _StepSystem), and the final pressure is
 shifted by a constant to zero mean.
 
-Factorizations are reused across sweeps and steps through iterative
-refinement, since the Jacobian drifts slowly between them, and are
-rebuilt only when refinement stops contracting; a change of the
-time-derivative weight (BDF2's second step) drops the held factor, since
-the matrix then jumps. Refinement stops at ``|b - A x| <= 1e-14 (|b| +
-|A|_inf |x|)`` (REFINE_TOL). A step's first sweep starts refinement
-from the step vector predicted from the history of accepted steps (see
+One factorization serves many passes and steps, since the Jacobian
+drifts slowly between them. It is rebuilt, at the current velocity, only
+when a correction by a factor that had already made one fails to shrink
+the residual eightfold, and a change of the
+time-derivative weight (BDF2's second step) drops it, since the matrix
+then jumps; the Jacobian is assembled for a factorization and for
+nothing else. A step stops at ``|F(x)| <= 1e-14 (|b| + |A|_inf |x|)``
+(REFINE_TOL), with ``A`` the step matrix as last written. It starts from
+the step vector predicted from the history of accepted steps (see
 _StepHistory): the Newton–Gregory sum of its backward differences up to
 fifth order, cut before the first difference whose velocity part stops
 shrinking, so a smooth history is extrapolated to high order and a jump
 or kink in the source lowers the order by itself (the initial state at
-the first step, ``2 x_n - x_{n-1}`` at the second). Each later sweep
-starts from the previous sweep's solution, so a sweep whose answer
-barely moved needs only one or two triangular solves. Either way
-the start's velocity is the sweep's linearization point, where the
-residual of the Newton system is the nonlinear residual and needs no
-Jacobian: ``D(u) u`` is applied without a matrix (forms.apply_drag). A
-sweep whose start already meets the refinement stop, measured with the
-norm of the step matrix as last written, is accepted as it stands, with
-increment 0.0 and no Jacobian, matrix write or triangular solve; that is
-how a converged step usually ends, and why a run from rest with no
-source factors nothing. Every other sweep assembles the Jacobian.
+the first step, ``2 x_n - x_{n-1}`` at the second). A start that already
+meets the stop costs one residual and no triangular solve, which is why
+a run from rest with no source factors nothing.
 """
 
 from __future__ import annotations
@@ -94,10 +92,10 @@ from .spaces import (
 
 BACKWARD_EULER = "be"
 BDF2 = "bdf2"
-# Refinement stops once |b - A x| <= REFINE_TOL (|b| + |A|_inf |x|). The
-# stop is normwise over the whole step vector, so the velocity, the
-# smaller part of it, converges a decade or so behind; at 1e-13 a drag
-# run's velocity could stop 1e-9 short of the Newton solution.
+# A step stops once |F(x)| <= REFINE_TOL (|b| + |A|_inf |x|). The stop is
+# normwise over the whole step vector, so the velocity, the smaller part
+# of it, converges a decade or so behind; at 1e-13 a drag run's velocity
+# could stop 1e-9 short of the solution.
 REFINE_TOL = 1e-14
 # Highest order of the step-history predictor (see _StepHistory).
 PREDICT_ORDER = 5
@@ -134,12 +132,14 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Stopping rule for the drag iteration: at most ``max_iter`` Newton
-    sweeps per step, stopping once the relative velocity increment is at
-    most ``tol``."""
+    """Pass budget of the chord iteration: at most ``max_iter`` residual
+    evaluations per step (see _StepSystem.solve) before SolverError."""
 
-    tol: float = 1e-9
     max_iter: int = 50
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 def _block_inverse(M: sp.spmatrix) -> sp.csr_matrix:
@@ -259,9 +259,13 @@ def build_operators(mesh: StaggeredMesh, k: int) -> Operators:
 class StepReport:
     """Diagnostics of one time step.
 
-    ``increments`` holds every sweep's relative velocity increment; a
-    last increment of exactly 0.0 marks a sweep accepted without a
-    Jacobian (see the module docstring).
+    ``picard_iterations`` counts the passes of the step's chord
+    iteration, one nonlinear residual each, the last of which met the
+    stop; a drag-free step is one linear solve and counts 1.
+    ``increments`` holds the relative ``MU``-norm velocity correction of
+    every pass that applied one (none when the start met the stop), and
+    ``residual`` the relative residual ``|F| / (|b| + |A|_inf |x|)`` at
+    the stop. ``refine_passes`` counts the triangular solves.
     """
 
     step: int
@@ -278,10 +282,12 @@ class StepReport:
 def write_step_log(path, reports) -> None:
     """Write per-step diagnostics as CSV.
 
-    Columns: step, time, drag sweeps, last relative increment, worst
-    linear-solve residual, the L2 energies of the velocity and scaled
-    gradient, and the factorizations and refinement passes (triangular
-    solves) the step spent.
+    Columns: step, time, chord passes (``picard_iterations``, 1 for a
+    drag-free step), the relative velocity correction of the last
+    triangular solve (``increment``, 0 when there was none), the relative
+    residual at the stop, the L2 energies of the velocity and scaled
+    gradient, and the factorizations and triangular solves
+    (``refine_passes``) the step spent.
     """
     lines = [
         "step,time,picard_iterations,increment,residual,u_l2,L_l2,"
@@ -378,8 +384,9 @@ def _layout(ops: Operators, se: float) -> list:
 
 
 class _StepSystem:
-    """The pinned step system of one run: its matrix on one pattern, the
-    held factorization and the refinement stop.
+    """The pinned step system of one run and the chord iteration that
+    solves it: the matrix on one pattern, the held factorization and the
+    stop.
 
     Rows and columns share the slices of _layout: columns are ordered
     [velocity, trace, pressure] and rows carry the momentum, trace-jump
@@ -407,24 +414,24 @@ class _StepSystem:
     The pattern is the union of the block patterns, including, for a run
     with drag, that of the velocity pairs sharing a triangle, on which
     every drag Jacobian lives (DofSpace.pattern); ``A`` keeps it for the
-    run. The blocks outside the velocity block are written once. In the
-    velocity block ``set_mass`` writes the fixed ``eps BU Mi BU^T`` part
-    together with ``m MU`` when ``m`` changes, and ``solve`` scatters
-    ``beta J.data`` on top of them through a precomputed slot map, with
-    no sparse arithmetic. ``lin`` is the drag-free matrix on the same
-    pattern (``A`` itself without drag), and ``norm`` the largest
-    absolute row sum of ``A`` as last written.
+    run. ``lin`` is the drag-free matrix on the same pattern (``A``
+    itself without drag). The blocks outside the velocity block are
+    written once. In the velocity block ``set_mass`` writes the fixed
+    ``eps BU Mi BU^T`` part together with ``m MU`` into ``lin`` when
+    ``m`` changes, and ``_write`` copies ``lin`` into ``A`` with ``beta
+    J.data`` added through a precomputed slot map, with no sparse
+    arithmetic. ``norm`` is the largest absolute row sum of ``A`` as
+    last written.
 
-    The factorization is reused across nearby systems, since the drag
-    Jacobian drifts slowly between sweeps and steps: ``solve`` refines
-    with the factor it holds and refactors only when the residual stops
-    contracting, and ``set_mass`` drops it when ``m`` changes.
+    ``solve`` holds one factorization across the passes of a step and
+    across steps; ``set_mass`` drops it, since the matrix then jumps.
     ``factor_count`` and ``refine_count`` count factorizations and
-    refinement passes (one triangular solve each).
+    passes that applied a correction (one triangular solve each).
     """
 
-    def __init__(self, ops: Operators, se: float, drag: bool):
+    def __init__(self, ops: Operators, se: float, beta: float):
         sl_u = _layout(ops, se)[0]
+        drag = beta != 0.0
         # The velocity block enters with the union of the MU, drag and
         # condensed patterns; every entry is one of their slots, which
         # set_mass writes.
@@ -479,10 +486,18 @@ class _StepSystem:
         self._drag_slots = slots(pattern) if drag else None
         # Only the momentum rows, which lead, change; the largest sum of
         # the others is kept.
-        self._n_u = hi
+        self._sl_u = sl_u
         self._other_norm = self._row_sums(hi, n)
+        self._U, self._MU, self._beta = ops.velocity, ops.MU, beta
         self._m = self.norm = self.lu = None
         self.factor_count = self.refine_count = 0
+
+    @cached_property
+    def _drag_mass(self) -> DragMassAssembler:
+        """The drag Jacobian's assembler. It is made at the first
+        factorization, after the temporaries of ``__init__`` are freed, so
+        that its tables do not add to their peak memory."""
+        return DragMassAssembler(self._U)
 
     def _row_sums(self, lo: int, hi: int) -> float:
         """Largest absolute row sum of ``A`` over rows lo..hi-1 (none of
@@ -491,9 +506,14 @@ class _StepSystem:
         data = np.abs(self.A.data[ptr[lo] : ptr[hi]])
         return float(np.add.reduceat(data, ptr[lo:hi] - ptr[lo]).max())
 
-    def _take_norm(self):
-        """Take ``norm`` from ``A`` as just written."""
-        self.norm = max(self._other_norm, self._row_sums(0, self._n_u))
+    def _write(self, u=None):
+        """Write ``lin`` into ``A``, with ``beta J(u)`` added on the drag
+        pattern when ``u`` is given, and take ``norm``."""
+        if self.A is not self.lin:
+            self.A.data[:] = self.lin.data
+            if u is not None:
+                self.A.data[self._drag_slots] += self._beta * self._drag_mass(u).data
+        self.norm = max(self._other_norm, self._row_sums(0, self._sl_u.stop))
 
     def set_mass(self, m: float):
         """Write ``m MU`` and the fixed condensed part into the velocity
@@ -505,66 +525,63 @@ class _StepSystem:
         lin[self._uu_slots] = 0.0
         lin[self._fixed_slots] = self._fixed_vals
         lin[self._mass_slots] += m * self._mass_vals
-        if self.lin is not self.A:
-            self.A.data[:] = lin
         self._m, self.lu = m, None
-        self._take_norm()
+        self._write()
 
-    def _refactor(self):
+    def _refactor(self, u):
+        """Write the Jacobian at the velocity ``u`` into ``A`` and factor."""
+        self._write(u)
         try:
             self.lu = splu(self.A.tocsc())
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
         self.factor_count += 1
 
-    def _stop(self, b, x, r):
-        """``|r|``, the relative residual ``|r| / (|b| + norm |x|)`` and
-        whether it meets the refinement stop."""
-        rn = float(np.linalg.norm(r))
-        scale = float(np.linalg.norm(b)) + self.norm * float(np.linalg.norm(x)) + 1e-300
-        return rn, rn / scale, rn <= REFINE_TOL * scale
+    def solve(self, b, x, max_passes):
+        """Solve the step ``lin x + beta D(u) u = b`` by the chord
+        iteration from the start ``x``.
 
-    def solve(self, b, x, r, beta, jacobian):
-        """Returns the solution of ``A x = b`` refined from the start
-        ``x``, and its relative residual.
+        Returns the solution, the relative ``MU``-norm velocity correction
+        of every pass that applied one, and the relative residual at the
+        stop.
 
-        The drag part of ``A`` is ``beta jacobian()``, and ``r`` is the
-        residual ``b - A x`` of the start, which the caller forms without
-        the Jacobian. A start that meets the stop under the last written
-        ``norm`` is returned as it is, with no Jacobian and no triangular
-        solve. Otherwise the Jacobian is written into ``A``, which is
-        factored if no factor is held, and refinement removes the residual
-        with the held factor, measured against ``b - A x`` under the new
-        ``norm``; a factor not made for this solve is rebuilt when a pass
-        fails to shrink the residual eightfold. Raises SolverError unless
-        the relative residual ends at most 1e-10 (a NaN one included).
+        Each pass forms the nonlinear residual ``F(x) = b - lin x - beta
+        D(u) u`` at the velocity ``u`` of ``x``, with ``D(u) u`` applied
+        without a matrix (forms.apply_drag), and stops once ``|F| <=
+        REFINE_TOL (|b| + norm |x|)``. Otherwise it adds the correction
+        ``LU^{-1} F`` of the held factor, one triangular solve. The factor
+        is rebuilt, at the current ``u``, when none is held or when a
+        correction by a factor that had already made one did not shrink
+        the residual eightfold; only then is the drag Jacobian assembled.
+        Raises SolverError when ``max_passes`` passes do not meet the stop
+        (a NaN residual never does).
         """
-        rn, resid, done = self._stop(b, x, r)
-        if done:
-            return x, resid
-        if beta != 0.0:
-            slots = self._drag_slots
-            self.A.data[slots] = self.lin.data[slots] + beta * jacobian().data
-            self._take_norm()
-        fresh, rn_prev = self.lu is None, np.inf
-        if fresh:
-            self._refactor()
-        rn, resid, done = self._stop(b, x, r)
-        for _ in range(12):
-            if done:
+        sl_u, beta = self._sl_u, self._beta
+        bn = float(np.linalg.norm(b))
+        increments, rn_prev = [], np.inf
+        for passes in range(1, max_passes + 1):
+            u = x[sl_u]
+            r = b - self.lin @ x
+            if beta != 0.0:
+                r[sl_u] -= beta * apply_drag(self._U, u)
+            rn = float(np.linalg.norm(r))
+            scale = bn + self.norm * float(np.linalg.norm(x)) + 1e-300
+            if rn <= REFINE_TOL * scale:
+                return x, increments, rn / scale
+            if passes == max_passes:
                 break
-            x = x + self.lu.solve(r)
-            self.refine_count += 1
-            r = b - self.A @ x
-            rn, resid, done = self._stop(b, x, r)
-            if not done and not fresh and rn > 0.125 * rn_prev:
-                self._refactor()
-                fresh, rn_prev = True, np.inf
+            if self.lu is None or rn > 0.125 * rn_prev:
+                self._refactor(u)
+                rn_prev = np.inf
             else:
                 rn_prev = rn
-        if not resid <= 1e-10:
-            raise SolverError(f"linear solve stalled at relative residual {resid:.2e}")
-        return x, resid
+            dx = self.lu.solve(r)
+            self.refine_count += 1
+            x = x + dx
+            increments.append(_l2(self._MU, dx[sl_u]) / max(_l2(self._MU, x[sl_u]), 1e-300))
+        raise SolverError(
+            f"no convergence in {max_passes} passes (relative residual {rn / scale:.2e})"
+        )
 
 
 def run_transient(
@@ -596,6 +613,7 @@ def run_transient(
         "be" for first order, "bdf2" for the two-step scheme whose
         opening step falls back to "be".
     picard : PicardConfig
+        Pass budget of each step's chord iteration.
     u0 : FieldCoefficients, optional
         Initial velocity; zero when omitted.
 
@@ -622,8 +640,7 @@ def run_transient(
     x[sl_u] = u_prev
     history = _StepHistory(x, sl_u)
     reports: list[StepReport] = []
-    system = _StepSystem(ops, se, params.beta != 0.0)
-    drag_mass = DragMassAssembler(U) if params.beta != 0.0 else None
+    system = _StepSystem(ops, se, params.beta)
     if f is None:
         load = lambda t: 0.0
     elif callable(f):
@@ -644,38 +661,11 @@ def run_transient(
         b[sl_u] = hist + load(t_new)
 
         system.set_mass(sigma / dt + params.alpha)
-        # The first sweep starts from the step vector predicted from the
-        # history; at the first step that is the initial state.
-        x = history.predict()
-        increments: list[float] = []
-        worst_resid = 0.0
         factors0, passes0 = system.factor_count, system.refine_count
-        for it in range(1, picard.max_iter + 1):
-            # Newton sweep about the velocity u of x, with A_lin the
-            # drag-free matrix: (A_lin + beta J(u)) x_new = b + beta (J(u) -
-            # D(u)) u = b + beta D(u) u, since J(u) u = 2 D(u) u on the
-            # quadrature. Its residual at x is the nonlinear residual F(x) =
-            # b - A_lin x - beta D(u) u, which needs no Jacobian: a start
-            # that already meets the refinement stop comes back unchanged,
-            # with increment exactly 0.0.
-            u = x[sl_u]
-            drag = params.beta * apply_drag(U, u) if params.beta != 0.0 else 0.0
-            b_it = b.copy()
-            b_it[sl_u] += drag
-            r = b - system.lin @ x
-            r[sl_u] -= drag
-            x, resid = system.solve(b_it, x, r, params.beta, lambda: drag_mass(u))
-            u_new = x[sl_u]
-            inc = _l2(ops.MU, u_new - u) / max(_l2(ops.MU, u_new), 1e-300)
-            worst_resid = max(worst_resid, resid)
-            increments.append(inc)
-            if params.beta == 0.0 or inc <= picard.tol:
-                break
-        else:
-            raise SolverError(
-                f"drag iteration did not reach {picard.tol:.1e} in "
-                f"{picard.max_iter} sweeps (step {step}, last {inc:.2e})"
-            )
+        try:
+            x, increments, resid = system.solve(b, history.predict(), picard.max_iter)
+        except SolverError as exc:
+            raise SolverError(f"step {step}: {exc}") from exc
 
         history.push(x)
         u_prev2 = u_prev
@@ -689,9 +679,9 @@ def run_transient(
             StepReport(
                 step=step,
                 t=t_new,
-                picard_iterations=len(increments),
+                picard_iterations=len(increments) + 1 if params.beta != 0.0 else 1,
                 increments=increments,
-                residual=worst_resid,
+                residual=resid,
                 u_l2=_l2(ops.MU, u_prev),
                 L_l2=_l2(ops.MW, L),
                 factorizations=system.factor_count - factors0,

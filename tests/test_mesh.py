@@ -142,6 +142,34 @@ def test_overlapping_polygons_rejected():
         PrimalMesh(verts, [[0, 1, 2, 3], [0, 1, 2, 3]])
 
 
+def test_overlapping_squares_with_balanced_areas_rejected():
+    # Unit squares overlapping in a quarter: the polygon areas equal the
+    # area their boundary sides enclose, but the sides cross.
+    verts = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]]
+    with pytest.raises(MeshTopologyError, match=r"side 1 \(1 -> 2\) of polygon 0 meets"):
+        PrimalMesh(verts, [[0, 1, 2, 3], [4, 5, 6, 7]])
+
+
+def test_nested_square_rejected():
+    # A unit square inside a 2x2 square: no sides cross, but the inner
+    # boundary loop runs counterclockwise where a hole would run clockwise.
+    verts = [[0, 0], [2, 0], [2, 2], [0, 2], [0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]]
+    with pytest.raises(MeshTopologyError, match="polygon 1 is on a counterclockwise"):
+        PrimalMesh(verts, [[0, 1, 2, 3], [4, 5, 6, 7]])
+
+
+def test_ring_with_island_accepted():
+    # Boundary loops at depths 0, 1 and 2: counterclockwise, clockwise,
+    # counterclockwise.
+    verts = [
+        [0, 0], [3, 0], [3, 3], [0, 3], [1, 1], [2, 1], [2, 2], [1, 2],
+        [1.25, 1.25], [1.75, 1.25], [1.75, 1.75], [1.25, 1.75],
+    ]
+    ring = [[0, 1, 5, 4], [1, 2, 6, 5], [2, 3, 7, 6], [3, 0, 4, 7]]
+    primal = PrimalMesh(verts, ring + [[8, 9, 10, 11]])
+    assert primal.areas.sum() == pytest.approx(8.25)
+
+
 def test_self_intersecting_polygon_rejected():
     verts = [[0, 0], [2, 0], [0, 1.5], [2, 1.5], [1, 4]]
     with pytest.raises(MeshGeometryError, match="self-intersecting"):
