@@ -103,6 +103,8 @@ def _parse_value(tok: str, key: str):
 def _as_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key '{key}': expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}': expected a finite number, got {value!r}")
     return float(value)
 
 

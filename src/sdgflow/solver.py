@@ -8,16 +8,21 @@ matrix ``MW`` is block diagonal, so the gradient equation ``MW L =
 sqrt(eps) (BU^T u + TH^T uhat)`` is solved for ``L`` block by block and
 ``L`` is eliminated (static condensation): the linear solves run on the
 velocity, trace and pressure alone, and ``L`` is recovered from the
-solution. The quadratic drag makes the system nonlinear; each step solves
-it by the chord (simplified Newton) iteration ``x += LU^{-1} F(x)`` on
-the nonlinear residual ``F(x) = b - A_lin x - beta D(u) u``, with
-``A_lin`` the drag-free step matrix and ``D(u) u`` applied without a
-matrix (forms.apply_drag). ``LU`` factors the step matrix with the
-consistent drag Jacobian ``J(u)`` (see forms.DragMassAssembler) at the
-velocity of the pass that factored it. With no drag the iteration is
-iterative refinement of one linear solve. A vanishing diffusion
-coefficient removes the gradient and trace variables from the system
-entirely, which keeps the matrix nonsingular in the Darcy limit.
+solution. The time derivative is the backward-difference formula
+``sum_{j<=q} (1/j) ∇^j u_{n+1} / dt`` of the scheme's order ``q`` (1
+for backward Euler, 2 for BDF2), read from the table of backward
+differences of the accepted steps (see _StepHistory); a formula opens at
+the order its history allows. The quadratic drag makes the system
+nonlinear; each step solves it by the chord (simplified Newton)
+iteration ``x += LU^{-1} F(x)`` on the nonlinear residual ``F(x) = b -
+A_lin x - beta D(u) u``, with ``A_lin`` the drag-free step matrix and
+``D(u) u`` applied without a matrix (forms.apply_drag). ``LU`` factors
+the step matrix with the consistent drag Jacobian ``J(u)`` (see
+forms.DragMassAssembler) at the velocity of the pass that factored it.
+With no drag the iteration is iterative refinement of one linear solve.
+A vanishing diffusion coefficient removes the gradient and trace
+variables from the system entirely, which keeps the matrix nonsingular
+in the Darcy limit.
 
 The Jacobian changes only the velocity-velocity block of the step
 matrix, so the matrix lives on one sparsity pattern for the whole run,
@@ -39,11 +44,12 @@ shifted by a constant to zero mean.
 One factorization serves many passes and steps, since the Jacobian
 drifts slowly between them. It is rebuilt, at the current velocity, only
 when a correction by a factor that had already made one fails to shrink
-the residual eightfold, and a change of the
-time-derivative weight (BDF2's second step) drops it, since the matrix
-then jumps; the Jacobian is assembled for a factorization and for
-nothing else. A step stops at ``|F(x)| <= 1e-14 (|b| + |A|_inf |x|)``
-(REFINE_TOL), with ``A`` the step matrix as last written. It starts from
+the residual eightfold, and a change of the formula's order, which
+changes the time-derivative weight, drops it, since the matrix then
+jumps; the Jacobian is assembled for a factorization and for nothing
+else. A step stops at ``|F(x)| <= 1e-14 (|b| + |A|_inf |x|)``
+(REFINE_TOL), with ``A`` the step matrix as last written, and raises
+SolverError after MAX_PASSES passes that do not meet it. It starts from
 the step vector predicted from the history of accepted steps (see
 _StepHistory): the Newton–Gregory sum of its backward differences up to
 fifth order, cut before the first difference whose velocity part stops
@@ -67,6 +73,7 @@ from scipy.sparse.linalg import splu
 
 from .forms import (
     DragMassAssembler,
+    _check,
     apply_drag,
     assemble_divergence,
     assemble_divergence_adjoint,
@@ -92,11 +99,16 @@ from .spaces import (
 
 BACKWARD_EULER = "be"
 BDF2 = "bdf2"
+# Order of each scheme's backward-difference formula (see _StepHistory.bdf).
+_ORDERS = {BACKWARD_EULER: 1, BDF2: 2}
 # A step stops once |F(x)| <= REFINE_TOL (|b| + |A|_inf |x|). The stop is
 # normwise over the whole step vector, so the velocity, the smaller part
 # of it, converges a decade or so behind; at 1e-13 a drag run's velocity
 # could stop 1e-9 short of the solution.
 REFINE_TOL = 1e-14
+# A step raises SolverError after this many passes (residual evaluations)
+# of its chord iteration without meeting the stop (see _StepSystem.solve).
+MAX_PASSES = 50
 # Highest order of the step-history predictor (see _StepHistory).
 PREDICT_ORDER = 5
 
@@ -128,18 +140,6 @@ class ModelParams:
             raise ValueError("alpha must be positive")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
-
-
-@dataclass(frozen=True)
-class PicardConfig:
-    """Pass budget of the chord iteration: at most ``max_iter`` residual
-    evaluations per step (see _StepSystem.solve) before SolverError."""
-
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 def _block_inverse(M: sp.spmatrix) -> sp.csr_matrix:
@@ -322,12 +322,19 @@ class TransientResult:
 
 
 class _StepHistory:
-    """Backward differences of the accepted step vectors and the
-    Newton–Gregory prediction of the next one.
+    """Backward differences of the accepted step vectors: the
+    backward-difference formula of a step and the Newton–Gregory
+    prediction of its solution.
 
     ``diffs[j]`` is ``∇^j x_n`` for ``j = 0..min(n, PREDICT_ORDER)``,
     with ``∇^0 x_n = x_n`` and ``∇^j x_n = ∇^{j-1} x_n - ∇^{j-1}
     x_{n-1}``; ``push`` updates the table with one subtraction per order.
+
+    ``bdf`` splits the order-``q`` time derivative ``sum_{j<=q} (1/j)
+    ∇^j x_{n+1} / dt`` into ``(sigma x_{n+1} - h) / dt``, by ``∇^j
+    x_{n+1} = x_{n+1} - sum_{i<j} ∇^i x_n``: ``q = 1`` is backward Euler
+    and ``q = 2`` BDF2 (``sigma = 3/2``, ``h = 2 x_n - x_{n-1} / 2``).
+
     ``predict`` sums ``x_n + ∇x_n + ∇^2 x_n + ...``, the polynomial
     through the stored points evaluated one step ahead, and truncates
     this asymptotic series before the first term of order two or more
@@ -347,6 +354,19 @@ class _StepHistory:
         for d in self.diffs[:PREDICT_ORDER]:
             diffs.append(diffs[-1] - d)
         self.diffs = diffs
+
+    def bdf(self, order: int) -> tuple[float, np.ndarray]:
+        """Weight ``sigma = sum_{j<=q} 1/j`` and history term ``h = sum_{j<=q}
+        (1/j) sum_{i<j} ∇^i x_n`` of the formula of order ``q = min(order,
+        points stored)``, so that a multistep formula opens at the order
+        its history allows."""
+        sigma, h = 1.0, self.diffs[0]
+        partial = h
+        for j, d in enumerate(self.diffs[1:order], start=2):
+            partial = partial + d
+            sigma += 1.0 / j
+            h = h + partial / j
+        return sigma, h
 
     def predict(self) -> np.ndarray:
         x = self.diffs[0].copy()
@@ -537,7 +557,7 @@ class _StepSystem:
             raise SolverError(f"factorization failed: {exc}") from exc
         self.factor_count += 1
 
-    def solve(self, b, x, max_passes):
+    def solve(self, b, x):
         """Solve the step ``lin x + beta D(u) u = b`` by the chord
         iteration from the start ``x``.
 
@@ -553,13 +573,13 @@ class _StepSystem:
         is rebuilt, at the current ``u``, when none is held or when a
         correction by a factor that had already made one did not shrink
         the residual eightfold; only then is the drag Jacobian assembled.
-        Raises SolverError when ``max_passes`` passes do not meet the stop
-        (a NaN residual never does).
+        Raises SolverError when MAX_PASSES passes do not meet the stop (a
+        NaN residual never does).
         """
         sl_u, beta = self._sl_u, self._beta
         bn = float(np.linalg.norm(b))
         increments, rn_prev = [], np.inf
-        for passes in range(1, max_passes + 1):
+        for passes in range(1, MAX_PASSES + 1):
             u = x[sl_u]
             r = b - self.lin @ x
             if beta != 0.0:
@@ -568,7 +588,7 @@ class _StepSystem:
             scale = bn + self.norm * float(np.linalg.norm(x)) + 1e-300
             if rn <= REFINE_TOL * scale:
                 return x, increments, rn / scale
-            if passes == max_passes:
+            if passes == MAX_PASSES:
                 break
             if self.lu is None or rn > 0.125 * rn_prev:
                 self._refactor(u)
@@ -580,7 +600,7 @@ class _StepSystem:
             x = x + dx
             increments.append(_l2(self._MU, dx[sl_u]) / max(_l2(self._MU, x[sl_u]), 1e-300))
         raise SolverError(
-            f"no convergence in {max_passes} passes (relative residual {rn / scale:.2e})"
+            f"no convergence in {MAX_PASSES} passes (relative residual {rn / scale:.2e})"
         )
 
 
@@ -591,7 +611,6 @@ def run_transient(
     dt: float,
     n_steps: int,
     scheme: str = BACKWARD_EULER,
-    picard: PicardConfig = PicardConfig(),
     u0: FieldCoefficients | None = None,
 ) -> TransientResult:
     """March the discrete system from a zero (or given) initial velocity.
@@ -611,11 +630,10 @@ def run_transient(
         Uniform step size and step count.
     scheme : str
         "be" for first order, "bdf2" for the two-step scheme whose
-        opening step falls back to "be".
-    picard : PicardConfig
-        Pass budget of each step's chord iteration.
+        opening step falls back to "be" (see _StepHistory.bdf).
     u0 : FieldCoefficients, optional
-        Initial velocity; zero when omitted.
+        Initial velocity in ``ops.velocity`` or another velocity space of
+        the same mesh and degree; zero when omitted.
 
     Returns
     -------
@@ -623,21 +641,19 @@ def run_transient(
         Final fields (the pressure with zero mean) and the step
         diagnostics.
     """
-    if scheme not in (BACKWARD_EULER, BDF2):
+    order = _ORDERS.get(scheme)
+    if order is None:
         raise ValueError(f"unknown scheme {scheme!r}")
     if not 0.0 < dt < np.inf or n_steps < 1:
         raise ValueError("need a finite dt > 0 and at least one step")
     U, W, P, T = ops.velocity, ops.gradient, ops.pressure, ops.trace
     se = float(np.sqrt(params.epsilon))
     sl_u, sl_t, sl_p = _layout(ops, se)
-    dim_u = U.global_dim
 
-    u_prev = np.zeros(dim_u) if u0 is None else np.asarray(u0.values, dtype=float)
-    if u_prev.shape != (dim_u,):
-        raise ValueError("initial velocity does not match the velocity space")
-    u_prev2 = None
     x = np.zeros(sl_p.stop)
-    x[sl_u] = u_prev
+    if u0 is not None:
+        _check(u0.space, VELOCITY, ops.mesh, ops.k)
+        x[sl_u] = u0.values
     history = _StepHistory(x, sl_u)
     reports: list[StepReport] = []
     system = _StepSystem(ops, se, params.beta)
@@ -651,25 +667,18 @@ def run_transient(
 
     for step in range(1, n_steps + 1):
         t_new = step * dt
-        if scheme == BDF2 and step >= 2:
-            sigma = 1.5
-            hist = ops.MU @ ((4.0 * u_prev - u_prev2) / (2.0 * dt))
-        else:
-            sigma = 1.0
-            hist = ops.MU @ (u_prev / dt)
+        sigma, hist = history.bdf(order)
         b = np.zeros(sl_p.stop)
-        b[sl_u] = hist + load(t_new)
+        b[sl_u] = ops.MU @ (hist[sl_u] / dt) + load(t_new)
 
         system.set_mass(sigma / dt + params.alpha)
         factors0, passes0 = system.factor_count, system.refine_count
         try:
-            x, increments, resid = system.solve(b, history.predict(), picard.max_iter)
+            x, increments, resid = system.solve(b, history.predict())
         except SolverError as exc:
             raise SolverError(f"step {step}: {exc}") from exc
 
         history.push(x)
-        u_prev2 = u_prev
-        u_prev = x[sl_u]
         # The velocity and trace slices lead the step vector.
         if se > 0.0:
             L = se * (ops.gradient_lift @ x[: sl_t.stop])
@@ -682,7 +691,7 @@ def run_transient(
                 picard_iterations=len(increments) + 1 if params.beta != 0.0 else 1,
                 increments=increments,
                 residual=resid,
-                u_l2=_l2(ops.MU, u_prev),
+                u_l2=_l2(ops.MU, x[sl_u]),
                 L_l2=_l2(ops.MW, L),
                 factorizations=system.factor_count - factors0,
                 refine_passes=system.refine_count - passes0,
@@ -697,7 +706,7 @@ def run_transient(
         params=params,
         scheme=scheme,
         dt=dt,
-        u=FieldCoefficients(U, u_prev, t=t_final),
+        u=FieldCoefficients(U, x[sl_u], t=t_final),
         L=FieldCoefficients(W, L, t=t_final),
         uhat=FieldCoefficients(T, x[sl_t] if se > 0.0 else np.zeros(T.global_dim), t=t_final),
         p=FieldCoefficients(P, p, t=t_final),

@@ -20,7 +20,6 @@ from .solver import (
     BACKWARD_EULER,
     BDF2,
     ModelParams,
-    PicardConfig,
     TransientResult,
     build_operators,
     run_transient,
@@ -301,7 +300,6 @@ def run_manufactured(
     scheme: str = BACKWARD_EULER,
     k: int = 1,
     final_time: float = 0.1,
-    picard: PicardConfig = PicardConfig(),
     ops=None,
     problem=ManufacturedProblem,
 ) -> tuple[StudyRow, TransientResult]:
@@ -320,7 +318,6 @@ def run_manufactured(
         dt=final_time / n_steps,
         n_steps=n_steps,
         scheme=scheme,
-        picard=picard,
     )
     row = StudyRow(
         epsilon=params.epsilon,

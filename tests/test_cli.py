@@ -274,6 +274,24 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert "solver failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mesh = 2\nepsilon = nan\n",
+        "mesh = 2\nbeta = inf\n",
+        "mesh = 2\nmode = sweep\nalpha = [1.0, nan]\n",
+        "mesh = 2\nfinal_time = inf\n",
+    ],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, text):
+    # float() reads nan and inf; they stop at validation, not in the solver.
+    cfg = write_cfg(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key '") and "finite" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_reference_fails_before_the_run(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, "mesh = 2\nproblem = zero\n")
     ref = tmp_path / "ref.csv"

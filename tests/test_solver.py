@@ -11,7 +11,6 @@ from sdgflow.solver import (
     BACKWARD_EULER,
     BDF2,
     ModelParams,
-    PicardConfig,
     build_operators,
     run_transient,
 )
@@ -172,15 +171,13 @@ def test_chord_step_matches_newton_at_moderate_drag(beta):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
 
 
-def test_exhausted_pass_budget_raises():
+def test_exhausted_pass_budget_raises(monkeypatch):
     ops = operators(2)
+    monkeypatch.setattr(solver, "MAX_PASSES", 1)
     with pytest.raises(
         solver.SolverError, match=r"step 1: no convergence in 1 passes \(relative residual 1"
     ):
-        run_transient(
-            ops, ModelParams(1.0, 1.0, 1e4), forcing, dt=0.05, n_steps=2,
-            picard=PicardConfig(max_iter=1),
-        )
+        run_transient(ops, ModelParams(1.0, 1.0, 1e4), forcing, dt=0.05, n_steps=2)
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.0])
@@ -259,8 +256,19 @@ def test_run_validation():
         ModelParams(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         ModelParams(-1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        PicardConfig(max_iter=0)
+
+
+def test_initial_velocity_from_another_mesh_rejected():
+    # The 2x2 mesh of [0,2]x[0,1] has as many velocity coefficients as the
+    # unit square's, so only the space tells its field apart.
+    ops = operators(2)
+    wide = build_operators(
+        build_staggered(build_rectangle_mesh(2, 2, domain=(0.0, 0.0, 2.0, 1.0))), 1
+    )
+    assert wide.velocity.global_dim == ops.velocity.global_dim
+    u0 = FieldCoefficients(wide.velocity, np.ones(wide.velocity.global_dim))
+    with pytest.raises(ValueError, match="share one mesh"):
+        run_transient(ops, ModelParams(1.0, 1.0, 1.0), forcing, dt=0.1, n_steps=1, u0=u0)
 
 
 
@@ -468,6 +476,40 @@ def test_step_history_from_one_and_two_points():
     assert np.array_equal(history.predict(), x0)
     history.push(x1)
     np.testing.assert_allclose(history.predict(), 2.0 * x1 - x0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 3])
+def test_step_history_backward_differences_are_the_bdf_coefficients(n_points):
+    # Order q = min(order, points stored): weight 1 and history x_n for
+    # q = 1, weight 3/2 and 2 x_n - x_{n-1} / 2 for q = 2.
+    xs = np.random.default_rng(n_points).standard_normal((n_points, 9))
+    history = solver._StepHistory(xs[0], slice(None))
+    for x in xs[1:]:
+        history.push(x)
+    sigma, h = history.bdf(1)
+    assert sigma == 1.0 and np.array_equal(h, xs[-1])
+    sigma, h = history.bdf(2)
+    if n_points == 1:
+        assert sigma == 1.0 and np.array_equal(h, xs[-1])
+    else:
+        assert sigma == 1.5
+        np.testing.assert_allclose(h, 2.0 * xs[-1] - 0.5 * xs[-2], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("start", ["rest", "u0"])
+def test_one_step_bdf2_is_backward_euler(start):
+    # BDF2 opens with a backward Euler step, bit for bit.
+    ops = operators(2)
+    params = ModelParams(1.0, 1.0, 1.0)
+    u0 = None
+    if start == "u0":
+        u0 = run_transient(ops, params, forcing, dt=0.05, n_steps=2).u
+    be, bdf2 = (
+        run_transient(ops, params, forcing, dt=0.05, n_steps=1, scheme=s, u0=u0)
+        for s in (BACKWARD_EULER, BDF2)
+    )
+    for name in ("u", "L", "uhat", "p"):
+        assert np.array_equal(getattr(be, name).values, getattr(bdf2, name).values), name
 
 
 def test_finest_first_order_row_takes_few_triangular_solves():
