@@ -185,8 +185,7 @@ class DragMassAssembler:
     three distinct entries of the symmetric pointwise weight with the
     products in one batched product. Every call returns a canonical CSR
     matrix on the space's ``indptr`` and ``indices`` (see
-    DofSpace.pattern), so callers may scatter its ``data`` into a larger
-    pattern through a fixed index map.
+    DofSpace.pattern).
     """
 
     def __init__(self, space: DofSpace):

@@ -140,8 +140,11 @@ class PrimalMesh:
 
     Raises
     ------
+    MeshError
+        A polygon vertex index that is not an integer (``bool`` included).
     MeshGeometryError
-        Non-positive polygon area, clockwise cycle, or self-intersection.
+        A vertex coordinate that is not finite, non-positive polygon area,
+        clockwise cycle, or self-intersection.
     MeshTopologyError
         An edge shared by more than two polygons, by two polygons in the
         same direction, or a tiling that is not a partition: its polygon
@@ -155,11 +158,24 @@ class PrimalMesh:
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if len(bad):
+            iv = bad[0]
+            raise MeshGeometryError(f"vertex {iv} has non-finite coordinates {self.vertices[iv]}")
         sizes = np.fromiter(map(len, polygons), dtype=int)
         self.poly_start = np.concatenate([[0], np.cumsum(sizes)])
-        self.side_from = np.fromiter(
-            chain.from_iterable(polygons), dtype=int, count=self.poly_start[-1]
-        )
+        flat = list(chain.from_iterable(polygons))
+        # The index types are checked as a set, so the Python work does not
+        # grow with the mesh. bool is an int subclass, and the int
+        # conversion would truncate a float.
+        bad_types = {
+            t for t in set(map(type, flat)) if t is bool or not issubclass(t, (int, np.integer))
+        }
+        if bad_types:
+            s = next(s for s, i in enumerate(flat) if type(i) in bad_types)
+            ip = int(np.searchsorted(self.poly_start, s, side="right")) - 1
+            raise MeshError(f"polygon {ip} has a vertex index {flat[s]!r} that is not an integer")
+        self.side_from = np.array(flat, dtype=int)
         self._validate_polygons()
         self._build_edges()
         self._validate_partition()

@@ -24,15 +24,13 @@ A vanishing diffusion coefficient removes the gradient and trace
 variables from the system entirely, which keeps the matrix nonsingular
 in the Darcy limit.
 
-The Jacobian changes only the velocity-velocity block of the step
-matrix, so the matrix lives on one sparsity pattern for the whole run,
-built with the run before its first step (see _StepSystem): the fixed
-blocks are assembled once, the mass and condensed-gradient part of the
-velocity block is rewritten only when the time-derivative weight
-changes, and a factorization writes the Jacobian values into the pattern
-in place through a fixed index map. The drag part of the pattern is
-known in advance: the pairs of velocity coefficients that share a
-triangle.
+The step matrix is formed by sparse sums (see _StepSystem): the blocks
+that depend on neither the time-derivative weight nor the drag are
+assembled once with the run, the drag-free matrix adds the weighted
+velocity mass to them when the weight changes, and a factorization adds
+the drag Jacobian, which touches only the velocity-velocity block, to
+the drag-free matrix. Only the drag-free matrix is kept; the residual
+applies the drag without a matrix.
 
 Constant pressures span the nullspace of the step matrix on both sides,
 and the mass equations, whose right-hand side is zero, stay consistent.
@@ -48,8 +46,9 @@ the residual eightfold, and a change of the formula's order, which
 changes the time-derivative weight, drops it, since the matrix then
 jumps; the Jacobian is assembled for a factorization and for nothing
 else. A step stops at ``|F(x)| <= 1e-14 (|b| + |A|_inf |x|)``
-(REFINE_TOL), with ``A`` the step matrix as last written, and raises
-SolverError after MAX_PASSES passes that do not meet it. It starts from
+(REFINE_TOL), with ``A`` the step matrix last formed, and raises
+SolverError at the first residual that is not finite and after
+MAX_PASSES passes that do not meet it. It starts from
 the step vector predicted from the history of accepted steps (see
 _StepHistory): the Newton–Gregory sum of its backward differences up to
 fifth order, cut before the first difference whose velocity part stops
@@ -384,11 +383,6 @@ def _l2(M: sp.csr_matrix, x: np.ndarray) -> float:
     return float(np.sqrt(max(x @ (M @ x), 0.0)))
 
 
-def _ones(B: sp.csr_matrix) -> sp.csr_matrix:
-    """B's pattern with every stored value set to one."""
-    return sp.csr_matrix((np.ones(B.nnz), B.indices, B.indptr), shape=B.shape)
-
-
 def _layout(ops: Operators, se: float) -> list:
     """Slices of the step unknowns [u, uhat, p] in the step vector.
 
@@ -403,9 +397,19 @@ def _layout(ops: Operators, se: float) -> list:
     return [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
 
 
+def _embed(B: sp.csr_matrix, n: int) -> sp.csr_matrix:
+    """A matrix of the velocity-velocity block in the n x n step layout.
+
+    The velocity leads the layout, so only ``indptr`` grows: the rows
+    past the velocity are empty.
+    """
+    indptr = np.concatenate([B.indptr, np.full(n - B.shape[0], B.indptr[-1])])
+    return sp.csr_matrix((B.data, B.indices, indptr), shape=(n, n))
+
+
 class _StepSystem:
     """The pinned step system of one run and the chord iteration that
-    solves it: the matrix on one pattern, the held factorization and the
+    solves it: the drag-free matrix, the held factorization and the
     stop.
 
     Rows and columns share the slices of _layout: columns are ordered
@@ -431,17 +435,11 @@ class _StepSystem:
     of the other mass rows, so the pinned system has the solution of the
     singular one with ``x_p[ip] = 0``.
 
-    The pattern is the union of the block patterns, including, for a run
-    with drag, that of the velocity pairs sharing a triangle, on which
-    every drag Jacobian lives (DofSpace.pattern); ``A`` keeps it for the
-    run. ``lin`` is the drag-free matrix on the same pattern (``A``
-    itself without drag). The blocks outside the velocity block are
-    written once. In the velocity block ``set_mass`` writes the fixed
-    ``eps BU Mi BU^T`` part together with ``m MU`` into ``lin`` when
-    ``m`` changes, and ``_write`` copies ``lin`` into ``A`` with ``beta
-    J.data`` added through a precomputed slot map, with no sparse
-    arithmetic. ``norm`` is the largest absolute row sum of ``A`` as
-    last written.
+    The blocks without ``m`` or ``beta`` are assembled once. ``set_mass``
+    adds ``m MU`` to them, giving the drag-free matrix ``lin``, and a
+    factorization adds ``beta J`` to ``lin``; both are sparse sums, and
+    ``MU`` and ``J`` enter through _embed. ``norm`` is the largest
+    absolute row sum of the matrix last formed.
 
     ``solve`` holds one factorization across the passes of a step and
     across steps; ``set_mass`` drops it, since the matrix then jumps.
@@ -450,66 +448,30 @@ class _StepSystem:
     """
 
     def __init__(self, ops: Operators, se: float, beta: float):
-        sl_u = _layout(ops, se)[0]
-        drag = beta != 0.0
-        # The velocity block enters with the union of the MU, drag and
-        # condensed patterns; every entry is one of their slots, which
-        # set_mass writes.
-        uu = _ones(ops.MU)
-        if drag:
-            indptr, indices, _ = ops.velocity.pattern
-            pattern = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=uu.shape)
-            uu = uu + pattern
         dp, ip = ops.pressure.global_dim, int(np.argmax(np.abs(ops.p_const)))
         mass = -ops.DP
         mass.data[mass.indptr[ip] : mass.indptr[ip + 1]] = 0.0
         mass.eliminate_zeros()
         pin = sp.csr_matrix(([1.0], ([ip], [ip])), shape=(dp, dp))
         if se == 0.0:
-            fixed = sp.csr_matrix(ops.MU.shape)
             blocks = [
-                [uu, ops.DP.T],
+                [None, ops.DP.T],
                 [mass, pin],
             ]
         else:
             # K = [BU; TH] Mi [BU^T, TH^T], split at the velocity/trace border.
             du, eps = ops.velocity.global_dim, se * se
             K = (sp.vstack([ops.BU, ops.TH]) @ ops.gradient_lift).tocsr()
-            fixed = eps * K[:du, :du]
-            uu = uu + _ones(fixed)
             blocks = [
-                [uu, eps * K[:du, du:], ops.DP.T],
+                [eps * K[:du, :du], eps * K[:du, du:], ops.DP.T],
                 [K[du:, :du], K[du:, du:], None],
                 [mass, None, pin],
             ]
-        A = sp.bmat(blocks, format="csr")
-        A.sum_duplicates()
-        self.A = A
-        self.lin = A
-        if drag:
-            self.lin = sp.csr_matrix((A.data.copy(), A.indices, A.indptr), shape=A.shape)
-        # Slot of every velocity-block entry in A.data, found among the
-        # keys row * n + column of the momentum rows, which canonical CSR
-        # sorts.
-        n, ou, hi = A.shape[0], sl_u.start, sl_u.stop
-        lo = A.indptr[ou]
-        rows = np.repeat(np.arange(ou, hi), np.diff(A.indptr[ou : hi + 1]))
-        keys = rows.astype(np.int64) * n + A.indices[lo : A.indptr[hi]]
-
-        def slots(B):
-            C = B.tocoo()
-            return lo + np.searchsorted(keys, (C.row + ou).astype(np.int64) * n + C.col + ou)
-
-        self._uu_slots = slots(uu)
-        self._fixed_slots, self._fixed_vals = slots(fixed), fixed.tocoo().data
-        self._mass_slots, self._mass_vals = slots(ops.MU), ops.MU.tocoo().data
-        self._drag_slots = slots(pattern) if drag else None
-        # Only the momentum rows, which lead, change; the largest sum of
-        # the others is kept.
-        self._sl_u = sl_u
-        self._other_norm = self._row_sums(hi, n)
+        self._fixed = sp.bmat(blocks, format="csr")
+        self._MU_embedded = _embed(ops.MU, self._fixed.shape[0])
+        self._sl_u = _layout(ops, se)[0]
         self._U, self._MU, self._beta = ops.velocity, ops.MU, beta
-        self._m = self.norm = self.lu = None
+        self._m = self.lin = self.norm = self.lu = None
         self.factor_count = self.refine_count = 0
 
     @cached_property
@@ -519,40 +481,23 @@ class _StepSystem:
         that its tables do not add to their peak memory."""
         return DragMassAssembler(self._U)
 
-    def _row_sums(self, lo: int, hi: int) -> float:
-        """Largest absolute row sum of ``A`` over rows lo..hi-1 (none of
-        them is empty)."""
-        ptr = self.A.indptr
-        data = np.abs(self.A.data[ptr[lo] : ptr[hi]])
-        return float(np.add.reduceat(data, ptr[lo:hi] - ptr[lo]).max())
-
-    def _write(self, u=None):
-        """Write ``lin`` into ``A``, with ``beta J(u)`` added on the drag
-        pattern when ``u`` is given, and take ``norm``."""
-        if self.A is not self.lin:
-            self.A.data[:] = self.lin.data
-            if u is not None:
-                self.A.data[self._drag_slots] += self._beta * self._drag_mass(u).data
-        self.norm = max(self._other_norm, self._row_sums(0, self._sl_u.stop))
-
     def set_mass(self, m: float):
-        """Write ``m MU`` and the fixed condensed part into the velocity
-        block of ``lin`` and ``A``, without drag, and drop the factor, when
+        """Form ``lin`` with the weight ``m`` and drop the factor, when
         ``m`` changes."""
         if m == self._m:
             return
-        lin = self.lin.data
-        lin[self._uu_slots] = 0.0
-        lin[self._fixed_slots] = self._fixed_vals
-        lin[self._mass_slots] += m * self._mass_vals
+        self.lin = self._fixed + m * self._MU_embedded
+        self.norm = sp.linalg.norm(self.lin, np.inf)
         self._m, self.lu = m, None
-        self._write()
 
     def _refactor(self, u):
-        """Write the Jacobian at the velocity ``u`` into ``A`` and factor."""
-        self._write(u)
+        """Factor ``lin`` plus ``beta J`` at the velocity ``u``."""
+        A = self.lin
+        if self._beta != 0.0:
+            A = A + self._beta * _embed(self._drag_mass(u), A.shape[0])
+        self.norm = sp.linalg.norm(A, np.inf)
         try:
-            self.lu = splu(self.A.tocsc())
+            self.lu = splu(A.tocsc())
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
         self.factor_count += 1
@@ -573,8 +518,8 @@ class _StepSystem:
         is rebuilt, at the current ``u``, when none is held or when a
         correction by a factor that had already made one did not shrink
         the residual eightfold; only then is the drag Jacobian assembled.
-        Raises SolverError when MAX_PASSES passes do not meet the stop (a
-        NaN residual never does).
+        Raises SolverError at the first residual that is not finite, and
+        when MAX_PASSES passes do not meet the stop.
         """
         sl_u, beta = self._sl_u, self._beta
         bn = float(np.linalg.norm(b))
@@ -585,6 +530,8 @@ class _StepSystem:
             if beta != 0.0:
                 r[sl_u] -= beta * apply_drag(self._U, u)
             rn = float(np.linalg.norm(r))
+            if not np.isfinite(rn):
+                raise SolverError(f"pass {passes}: residual norm is {rn}")
             scale = bn + self.norm * float(np.linalg.norm(x)) + 1e-300
             if rn <= REFINE_TOL * scale:
                 return x, increments, rn / scale
@@ -627,7 +574,8 @@ def run_transient(
         each ``g`` is assembled once, and a step only combines them.
         None is no source.
     dt, n_steps : float, int
-        Uniform step size and step count.
+        Uniform step size, finite and positive, and step count, an integer
+        (not a bool) of at least 1.
     scheme : str
         "be" for first order, "bdf2" for the two-step scheme whose
         opening step falls back to "be" (see _StepHistory.bdf).
@@ -644,8 +592,10 @@ def run_transient(
     order = _ORDERS.get(scheme)
     if order is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if not 0.0 < dt < np.inf or n_steps < 1:
-        raise ValueError("need a finite dt > 0 and at least one step")
+    if not 0.0 < dt < np.inf:
+        raise ValueError("need a finite dt > 0")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer >= 1, not {n_steps!r}")
     U, W, P, T = ops.velocity, ops.gradient, ops.pressure, ops.trace
     se = float(np.sqrt(params.epsilon))
     sl_u, sl_t, sl_p = _layout(ops, se)

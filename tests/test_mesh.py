@@ -18,6 +18,7 @@ from sdgflow.mesh import (
     DUAL,
     PRIMAL_BOUNDARY,
     PRIMAL_INTERIOR,
+    MeshError,
     MeshFormatError,
     MeshGeometryError,
     MeshTopologyError,
@@ -168,6 +169,36 @@ def test_ring_with_island_accepted():
     ring = [[0, 1, 5, 4], [1, 2, 6, 5], [2, 3, 7, 6], [3, 0, 4, 7]]
     primal = PrimalMesh(verts, ring + [[8, 9, 10, 11]])
     assert primal.areas.sum() == pytest.approx(8.25)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_vertex_rejected(bad):
+    # Named before any geometry is computed, which would warn and then
+    # report an overlap.
+    verts = [[0, 0], [1, float(bad)], [1, 1], [0, 1]]
+    with pytest.raises(MeshGeometryError, match="vertex 1 has non-finite coordinates"):
+        PrimalMesh(verts, [[0, 1, 2, 3]])
+    text = SQUARE_FILE.replace("\n1 0\n", f"\n1 {bad}\n")
+    with pytest.raises(MeshGeometryError, match="vertex 1 has non-finite coordinates"):
+        read_polygon_mesh(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "index",
+    [True, 1.0, 1.7, np.float64(1.0), np.True_],
+    ids=["bool", "float", "fraction", "float64", "numpy-bool"],
+)
+def test_non_integer_vertex_index_rejected(index):
+    # An int conversion would read each of these as vertex 1.
+    verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    with pytest.raises(MeshError, match="polygon 0 has a vertex index .* not an integer"):
+        PrimalMesh(verts, [[0, index, 2, 3]])
+
+
+def test_numpy_integer_vertex_indices_accepted():
+    verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    primal = PrimalMesh(verts, [[np.int32(0), np.int64(1), np.uint8(2), 3]])
+    assert primal.polygons[0].tolist() == [0, 1, 2, 3]
 
 
 def test_self_intersecting_polygon_rejected():

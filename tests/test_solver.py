@@ -252,6 +252,10 @@ def test_run_validation():
     with pytest.raises(ValueError):
         bad0 = FieldCoefficients(ops.pressure, np.zeros(ops.pressure.global_dim))
         run_transient(ops, good, forcing, dt=0.1, n_steps=1, u0=bad0)
+    # A float step count is not truncated, nor a bool read as one step.
+    for n_steps in (2.5, True):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            run_transient(ops, good, forcing, dt=0.1, n_steps=n_steps)
     with pytest.raises(ValueError):
         ModelParams(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -273,13 +277,30 @@ def test_initial_velocity_from_another_mesh_rejected():
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
-def test_nan_residual_raises(beta):
-    # A NaN residual never meets the refinement stop: the run raises
-    # instead of returning NaN fields with a residual of 0.0.
+def test_nan_residual_raises(monkeypatch, beta):
+    # A NaN residual never meets the stop: the run raises at the first
+    # one, naming the step and the pass, before it factors or solves,
+    # instead of returning NaN fields or spending the pass budget.
     ops = operators(2)
     source = lambda pts, t: np.full((len(pts), 2), np.nan)
-    with pytest.raises(solver.SolverError, match="nan"):
+    counts = {"factor": 0, "solve": 0}
+
+    class CountingFactor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, r):
+            counts["solve"] += 1
+            return self.lu.solve(r)
+
+    def counting_splu(A, *args, **kwargs):
+        counts["factor"] += 1
+        return CountingFactor(splu(A, *args, **kwargs))
+
+    monkeypatch.setattr(solver, "splu", counting_splu)
+    with pytest.raises(solver.SolverError, match="step 1: pass 1: .*nan"):
         run_transient(ops, ModelParams(1.0, 1.0, beta), source, dt=0.05, n_steps=2)
+    assert counts == {"factor": 0, "solve": 0}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -306,7 +327,7 @@ def perturbed_ops_k2():
 
 
 def _check_against_reference_step_loop(ops, eps, scheme, beta):
-    # The in-place step matrix and the chord iteration on a held factor
+    # The step matrix and the chord iteration on a held factor
     # must give the fields of a Newton loop that rebuilds every matrix,
     # integrates the Jacobian triangle by triangle and refines from zero,
     # with no more triangular solves.
