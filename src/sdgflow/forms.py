@@ -125,18 +125,28 @@ def _grad_val(mesh, k):
     return np.einsum("tmqc,tq,tnq->tcmn", ttab.grad, ttab.w, ttab.val)
 
 
+def _nodal_velocity(u_space: DofSpace, val: np.ndarray, coeffs: np.ndarray):
+    """The velocity (nt, 2, nq) at the quadrature nodes of the basis table
+    ``val`` and its speed (nt, nq)."""
+    nt, nk = u_space.mesh.n_triangles, u_space.nk
+    coeffs = np.asarray(coeffs, dtype=float)
+    broken = np.matmul(u_space.local_E, coeffs[u_space.dof_map][:, :, None])
+    vals = np.matmul(broken.reshape(nt, 2, nk), val)
+    return vals, np.sqrt(vals[:, 0] ** 2 + vals[:, 1] ** 2)
+
+
 def assemble_mass(space: DofSpace, weight=None) -> sp.csr_matrix:
-    """Mass matrix of a volume space, optionally with a scalar weight.
+    """Mass matrix of a volume space, optionally weighted by a speed.
 
     Parameters
     ----------
     space : DofSpace
         Velocity, gradient or pressure space.
-    weight : FieldCoefficients or callable, optional
-        Pointwise nonnegative weight. A velocity field is taken through
-        its Euclidean norm (the drag weight ``|u|``); a callable maps
-        (n, 2) points to an (n,) array. Weighted integrands are not
-        polynomial, so they use the enhanced quadrature tier.
+    weight : FieldCoefficients, optional
+        A velocity field on ``space``'s mesh, taken through its Euclidean
+        norm: the drag weight ``|u|``, evaluated as in :func:`apply_drag`.
+        The weighted integrand is not polynomial, so it uses the enhanced
+        quadrature tier.
     """
     if space.kind == TRACE:
         raise ValueError("the trace space carries no mass matrix")
@@ -145,15 +155,12 @@ def assemble_mass(space: DofSpace, weight=None) -> sp.csr_matrix:
     ttab = tri_tables(mesh, k, deg)
     w = ttab.w
     if weight is not None:
-        if isinstance(weight, FieldCoefficients):
-            wtab = tri_tables(mesh, weight.space.k, deg)
-            vals = np.einsum("tcn,tnq->tcq", weight.space.broken(weight.values), wtab.val)
-            wvals = np.hypot(vals[:, 0], vals[:, 1])
-        else:
-            nt, nq = w.shape
-            wvals = np.asarray(weight(ttab.pts.reshape(-1, 2)), dtype=float)
-            wvals = wvals.reshape(nt, nq)
-        w = w * wvals
+        if not isinstance(weight, FieldCoefficients):
+            raise ValueError("the mass weight must be a velocity field")
+        u_space = weight.space
+        _check(u_space, VELOCITY, mesh, u_space.k)
+        wtab = tri_tables(mesh, u_space.k, deg)
+        w = w * _nodal_velocity(u_space, wtab.val, weight.values)[1]
     blocks = np.einsum("tmq,tq,tnq->tmn", ttab.val, w, ttab.val)
     nt = mesh.n_triangles
     loc = space.loc_dim
@@ -168,7 +175,7 @@ def assemble_mass(space: DofSpace, weight=None) -> sp.csr_matrix:
 
 
 class DragMassAssembler:
-    """Builds the drag Jacobian of a velocity field for repeated calls.
+    """Builds the drag Jacobian of a velocity field.
 
     With ``D(u)`` the speed-weighted velocity mass (pointwise weight ``|u|
     I``, which ``assemble_mass(space, weight=FieldCoefficients(space,
@@ -179,68 +186,52 @@ class DragMassAssembler:
     no regularization). On its quadrature ``J(u) u = 2 D(u) u`` holds
     exactly; :func:`apply_drag` gives ``D(u) u`` without a matrix.
 
-    The basis products ``val_m val_n w_q`` of every triangle and the
-    per-triangle expansion blocks are precomputed once, since the drag
-    iteration needs a fresh matrix every sweep; a call contracts the
-    three distinct entries of the symmetric pointwise weight with the
-    products in one batched product. Every call returns a canonical CSR
-    matrix on the space's ``indptr`` and ``indices`` (see
-    DofSpace.pattern).
+    The assembler holds nothing but its space, since the solver assembles
+    a Jacobian only to factor it. A call reads the enhanced-tier tables,
+    contracts the three distinct entries of the symmetric pointwise weight
+    with the basis products of every triangle, maps the broken blocks to
+    local ones through ``local_E`` and sums them into a canonical CSR
+    matrix whose pattern is the pairs of velocity DOFs that share a
+    triangle.
     """
 
     def __init__(self, space: DofSpace):
         if space.kind != VELOCITY:
             raise ValueError("speed weights require a velocity space")
         self.space = space
-        ttab = tri_tables(space.mesh, space.k, enhanced_degree(space.k))
-        self._val = ttab.val
-        nt, nk, nq = ttab.val.shape
-        # P[t, q, (m, n)] = val_m val_n w_q.
-        self._products = np.einsum("tmq,tnq,tq->tqmn", ttab.val, ttab.val, ttab.w)
-        self._products = self._products.reshape(nt, nq, nk * nk)
-        # Position in the contracted entries (s, m, n) of every broken
-        # block entry ((c, m), (d, n)), with s = c + d.
-        entry = np.arange(3 * nk * nk).reshape(3, nk, nk)[[[0, 1], [1, 2]]]
-        self._block_index = entry.transpose(0, 2, 1, 3).ravel()
-        self._Z = space.local_E
-        self._ZT = np.ascontiguousarray(self._Z.swapaxes(1, 2))
 
     def __call__(self, coeffs: np.ndarray) -> sp.csr_matrix:
         space = self.space
-        nt, nk = space.mesh.n_triangles, space.nk
-        vals, speed = _nodal_velocity(space, self._val, coeffs)
+        ttab = tri_tables(space.mesh, space.k, enhanced_degree(space.k))
+        nt, nk, _ = ttab.val.shape
+        vals, speed = _nodal_velocity(space, ttab.val, coeffs)
         # Entries (0, 0), (0, 1) and (1, 1) of the symmetric pointwise 2x2
-        # weight.
+        # weight, times the quadrature weights.
         inv = np.divide(1.0, speed, out=np.zeros_like(speed), where=speed > 0.0)
         weight = vals[:, [0, 0, 1]] * vals[:, [0, 1, 1]] * inv[:, None]
         weight[:, ::2] += speed[:, None]
-        # Broken block B[t, (c, m), (d, n)] = sum_q weight_cd val_m val_n
-        # w_q, then the local matrix Z^T B Z.
-        entries = np.matmul(weight, self._products).reshape(nt, -1)
-        blocks = entries[:, self._block_index].reshape(nt, 2 * nk, 2 * nk)
-        local = np.matmul(np.matmul(self._ZT, blocks), self._Z)
-        indptr, indices, slot = space.pattern
-        data = np.bincount(slot, weights=local.ravel(), minlength=len(indices))
-        n = space.global_dim
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
-def _nodal_velocity(u_space: DofSpace, val: np.ndarray, coeffs: np.ndarray):
-    """The velocity (nt, 2, nq) at the quadrature nodes of the basis table
-    ``val`` and its speed (nt, nq)."""
-    nt, nk = u_space.mesh.n_triangles, u_space.nk
-    coeffs = np.asarray(coeffs, dtype=float)
-    broken = np.matmul(u_space.local_E, coeffs[u_space.dof_map][:, :, None])
-    vals = np.matmul(broken.reshape(nt, 2, nk), val)
-    return vals, np.sqrt(vals[:, 0] ** 2 + vals[:, 1] ** 2)
+        weight *= ttab.w[:, None]
+        # Broken block B[t, (c, m), (d, n)] = sum_q weight_cd val_m val_n,
+        # then the local matrix Z^T B Z.
+        weighted = weight[:, :, :, None] * ttab.val.swapaxes(1, 2)[:, None]
+        entries = np.matmul(ttab.val[:, None], weighted)[:, [[0, 1], [1, 2]]]
+        blocks = entries.transpose(0, 1, 3, 2, 4).reshape(nt, 2 * nk, 2 * nk)
+        Z = space.local_E
+        local = np.matmul(np.matmul(Z.swapaxes(1, 2), blocks), Z)
+        n, n_loc = space.global_dim, space.dof_map.shape[1]
+        rows = np.repeat(space.dof_map, n_loc, axis=1).ravel()
+        cols = np.tile(space.dof_map, (1, n_loc)).ravel()
+        return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def apply_drag(u_space: DofSpace, coeffs: np.ndarray) -> np.ndarray:
     """``D(u) u`` for the velocity with coefficients ``coeffs``, without
     the matrix: the pointwise drag ``|u| u`` against every velocity test
-    function, on the quadrature of :class:`DragMassAssembler`, so it
-    equals both the weighted mass ``assemble_mass(u_space, weight=u) @
-    coeffs`` and half the Jacobian applied to ``coeffs`` to roundoff."""
+    function. It takes the velocity and speed from the same nodal
+    evaluation and quadrature as :class:`DragMassAssembler` and the
+    weighted :func:`assemble_mass`, so it equals both ``assemble_mass(
+    u_space, weight=u) @ coeffs`` and half the Jacobian applied to
+    ``coeffs`` to roundoff."""
     _check(u_space, VELOCITY, u_space.mesh, u_space.k)
     nt, nk = u_space.mesh.n_triangles, u_space.nk
     ttab = tri_tables(u_space.mesh, u_space.k, enhanced_degree(u_space.k))

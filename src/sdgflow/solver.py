@@ -121,8 +121,9 @@ class ModelParams:
     """Coefficients of the momentum equation.
 
     epsilon scales the diffusion, alpha the linear drag, beta the
-    quadratic drag. All three are finite; alpha must be positive; the
-    time-stepping bounds degrade as alpha approaches zero.
+    quadratic drag. All three are finite numbers, not booleans; alpha
+    must be positive; the time-stepping bounds degrade as alpha
+    approaches zero.
     """
 
     epsilon: float
@@ -131,8 +132,9 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("epsilon", "alpha", "beta"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, not {value!r}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.alpha <= 0:
@@ -261,8 +263,8 @@ class StepReport:
     ``picard_iterations`` counts the passes of the step's chord
     iteration, one nonlinear residual each, the last of which met the
     stop; a drag-free step is one linear solve and counts 1.
-    ``increments`` holds the relative ``MU``-norm velocity correction of
-    every pass that applied one (none when the start met the stop), and
+    ``increment`` is the relative ``MU``-norm velocity correction of the
+    last pass that applied one (0.0 when the start met the stop), and
     ``residual`` the relative residual ``|F| / (|b| + |A|_inf |x|)`` at
     the stop. ``refine_passes`` counts the triangular solves.
     """
@@ -270,7 +272,7 @@ class StepReport:
     step: int
     t: float
     picard_iterations: int
-    increments: list
+    increment: float
     residual: float
     u_l2: float
     L_l2: float
@@ -281,21 +283,20 @@ class StepReport:
 def write_step_log(path, reports) -> None:
     """Write per-step diagnostics as CSV.
 
-    Columns: step, time, chord passes (``picard_iterations``, 1 for a
-    drag-free step), the relative velocity correction of the last
-    triangular solve (``increment``, 0 when there was none), the relative
-    residual at the stop, the L2 energies of the velocity and scaled
-    gradient, and the factorizations and triangular solves
-    (``refine_passes``) the step spent.
+    One row per StepReport. Columns: step, time, chord passes
+    (``picard_iterations``, 1 for a drag-free step), the relative
+    velocity correction of the last triangular solve (``increment``, 0
+    when there was none), the relative residual at the stop, the L2
+    energies of the velocity and scaled gradient, and the factorizations
+    and triangular solves (``refine_passes``) the step spent.
     """
     lines = [
         "step,time,picard_iterations,increment,residual,u_l2,L_l2,"
         "factorizations,refine_passes"
     ]
     for r in reports:
-        inc = r.increments[-1] if r.increments else 0.0
         lines.append(
-            f"{r.step},{r.t:.10g},{r.picard_iterations},{inc:.6e},"
+            f"{r.step},{r.t:.10g},{r.picard_iterations},{r.increment:.6e},"
             f"{r.residual:.6e},{r.u_l2:.10e},{r.L_l2:.10e},"
             f"{r.factorizations},{r.refine_passes}"
         )
@@ -471,15 +472,9 @@ class _StepSystem:
         self._MU_embedded = _embed(ops.MU, self._fixed.shape[0])
         self._sl_u = _layout(ops, se)[0]
         self._U, self._MU, self._beta = ops.velocity, ops.MU, beta
+        self._drag_mass = DragMassAssembler(ops.velocity)
         self._m = self.lin = self.norm = self.lu = None
         self.factor_count = self.refine_count = 0
-
-    @cached_property
-    def _drag_mass(self) -> DragMassAssembler:
-        """The drag Jacobian's assembler. It is made at the first
-        factorization, after the temporaries of ``__init__`` are freed, so
-        that its tables do not add to their peak memory."""
-        return DragMassAssembler(self._U)
 
     def set_mass(self, m: float):
         """Form ``lin`` with the weight ``m`` and drop the factor, when
@@ -506,9 +501,9 @@ class _StepSystem:
         """Solve the step ``lin x + beta D(u) u = b`` by the chord
         iteration from the start ``x``.
 
-        Returns the solution, the relative ``MU``-norm velocity correction
-        of every pass that applied one, and the relative residual at the
-        stop.
+        Returns the solution, the number of passes, the relative
+        ``MU``-norm velocity correction of the last pass (0.0 when none
+        applied one) and the relative residual at the stop.
 
         Each pass forms the nonlinear residual ``F(x) = b - lin x - beta
         D(u) u`` at the velocity ``u`` of ``x``, with ``D(u) u`` applied
@@ -523,7 +518,7 @@ class _StepSystem:
         """
         sl_u, beta = self._sl_u, self._beta
         bn = float(np.linalg.norm(b))
-        increments, rn_prev = [], np.inf
+        dx, rn_prev = np.zeros_like(x), np.inf
         for passes in range(1, MAX_PASSES + 1):
             u = x[sl_u]
             r = b - self.lin @ x
@@ -534,7 +529,8 @@ class _StepSystem:
                 raise SolverError(f"pass {passes}: residual norm is {rn}")
             scale = bn + self.norm * float(np.linalg.norm(x)) + 1e-300
             if rn <= REFINE_TOL * scale:
-                return x, increments, rn / scale
+                increment = _l2(self._MU, dx[sl_u]) / max(_l2(self._MU, u), 1e-300)
+                return x, passes, increment, rn / scale
             if passes == MAX_PASSES:
                 break
             if self.lu is None or rn > 0.125 * rn_prev:
@@ -545,7 +541,6 @@ class _StepSystem:
             dx = self.lu.solve(r)
             self.refine_count += 1
             x = x + dx
-            increments.append(_l2(self._MU, dx[sl_u]) / max(_l2(self._MU, x[sl_u]), 1e-300))
         raise SolverError(
             f"no convergence in {MAX_PASSES} passes (relative residual {rn / scale:.2e})"
         )
@@ -574,8 +569,8 @@ def run_transient(
         each ``g`` is assembled once, and a step only combines them.
         None is no source.
     dt, n_steps : float, int
-        Uniform step size, finite and positive, and step count, an integer
-        (not a bool) of at least 1.
+        Uniform step size, a finite positive number (not a bool), and step
+        count, an integer (not a bool) of at least 1.
     scheme : str
         "be" for first order, "bdf2" for the two-step scheme whose
         opening step falls back to "be" (see _StepHistory.bdf).
@@ -592,8 +587,8 @@ def run_transient(
     order = _ORDERS.get(scheme)
     if order is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if not 0.0 < dt < np.inf:
-        raise ValueError("need a finite dt > 0")
+    if isinstance(dt, (bool, np.bool_)) or not 0.0 < dt < np.inf:
+        raise ValueError(f"need a finite dt > 0, not {dt!r}")
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError(f"n_steps must be an integer >= 1, not {n_steps!r}")
     U, W, P, T = ops.velocity, ops.gradient, ops.pressure, ops.trace
@@ -624,7 +619,7 @@ def run_transient(
         system.set_mass(sigma / dt + params.alpha)
         factors0, passes0 = system.factor_count, system.refine_count
         try:
-            x, increments, resid = system.solve(b, history.predict())
+            x, passes, increment, resid = system.solve(b, history.predict())
         except SolverError as exc:
             raise SolverError(f"step {step}: {exc}") from exc
 
@@ -638,8 +633,8 @@ def run_transient(
             StepReport(
                 step=step,
                 t=t_new,
-                picard_iterations=len(increments) + 1 if params.beta != 0.0 else 1,
-                increments=increments,
+                picard_iterations=passes if params.beta != 0.0 else 1,
+                increment=increment,
                 residual=resid,
                 u_l2=_l2(ops.MU, x[sl_u]),
                 L_l2=_l2(ops.MW, L),

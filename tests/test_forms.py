@@ -272,26 +272,45 @@ def test_apply_drag_matches_drag_matrices(k):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_velocity_pattern_fits_the_drag_matrices(k):
-    # The space's pattern is the set of velocity pairs that share a
-    # triangle, in canonical CSR order: the pattern of every drag
-    # Jacobian, and a superset of the mass matrix's.
+    # A drag Jacobian is canonical CSR on the set of velocity pairs that
+    # share a triangle, which contains the mass matrix's pattern.
     mesh = perturbed_mesh(3, seed=4)
     u = build_space(mesh, VELOCITY, k)
-    indptr, indices, slot = u.pattern
-    n, n_loc = u.global_dim, u.dof_map.shape[1]
-    rows = np.repeat(u.dof_map, n_loc, axis=1).ravel()
-    cols = np.tile(u.dof_map, (1, n_loc)).ravel()
-    pairs = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    pairs.sum_duplicates()
-    assert np.array_equal(indptr, pairs.indptr) and np.array_equal(indices, pairs.indices)
+    nt, n_loc = u.dof_map.shape
+    n = u.global_dim
+    incidence = sp.csr_matrix(
+        (np.ones(nt * n_loc), (np.repeat(np.arange(nt), n_loc), u.dof_map.ravel())),
+        shape=(nt, n),
+    )
+    pairs = (incidence.T @ incidence).tocsr()
+    pairs.sort_indices()
     J = DragMassAssembler(u)(np.random.default_rng(3).standard_normal(n))
     assert J.has_canonical_format
-    assert np.array_equal(J.indptr, indptr) and np.array_equal(J.indices, indices)
-    # Every local entry's slot holds its own (row, column) pair.
-    keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
-    assert np.array_equal(keys[slot], rows * n + cols)
+    assert np.array_equal(J.indptr, pairs.indptr) and np.array_equal(J.indices, pairs.indices)
+    keys = np.repeat(np.arange(n), np.diff(J.indptr)) * n + J.indices
     mass = assemble_mass(u).tocoo()
     assert np.isin(mass.row * n + mass.col, keys).all()
+
+
+@pytest.mark.parametrize("kind", ["gradient", "pressure", "other-mesh", "callable"])
+def test_mass_weight_must_be_a_velocity_field_on_the_mesh(kind):
+    # The 2x2 mesh of [0,2]x[0,1] has as many triangles as the unit
+    # square's, so only the space tells its field apart.
+    mesh = staggered(2)
+    u = build_space(mesh, VELOCITY, 1)
+    wide = build_staggered(build_rectangle_mesh(2, 2, domain=(0.0, 0.0, 2.0, 1.0)))
+    assert wide.n_triangles == mesh.n_triangles
+    if kind == "callable":
+        weight = lambda pts: np.ones(len(pts))
+    else:
+        space = {
+            "gradient": build_space(mesh, GRADIENT, 1),
+            "pressure": build_space(mesh, PRESSURE, 1),
+            "other-mesh": build_space(wide, VELOCITY, 1),
+        }[kind]
+        weight = FieldCoefficients(space, np.ones(space.global_dim))
+    with pytest.raises(ValueError):
+        assemble_mass(u, weight=weight)
 
 
 def _pointwise_values(space, coeffs):

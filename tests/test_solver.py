@@ -76,6 +76,25 @@ def test_zero_forcing_stays_zero(monkeypatch):
     assert not jacobians
 
 
+def test_step_report_increment(tmp_path):
+    # The last correction of a step, relative to the velocity: 0.0 on a
+    # run from rest with no source, which corrects nothing, and positive
+    # on every drag step that applied a correction. The step log writes
+    # it.
+    ops = operators(2)
+    rest = run_transient(ops, ModelParams(1.0, 1.0, 1.0), None, dt=0.05, n_steps=3)
+    assert all(r.increment == 0.0 for r in rest.reports)
+    res = run_transient(ops, ModelParams(1.0, 1.0, 1e4), forcing, dt=0.05, n_steps=3)
+    assert all(r.refine_passes > 0 for r in res.reports)
+    assert all(0.0 < r.increment < 1e-6 for r in res.reports)
+    path = tmp_path / "steps.csv"
+    solver.write_step_log(path, res.reports)
+    rows = path.read_text().splitlines()
+    column = rows[0].split(",").index("increment")
+    logged = [float(row.split(",")[column]) for row in rows[1:]]
+    assert logged == [float(f"{r.increment:.6e}") for r in res.reports]
+
+
 def test_beta_zero_is_single_solve():
     ops = operators(2)
     res = run_transient(ops, ModelParams(0.5, 1.0, 0.0), forcing, dt=0.05, n_steps=3)
@@ -303,15 +322,17 @@ def test_nan_residual_raises(monkeypatch, beta):
     assert counts == {"factor": 0, "solve": 0}
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, True, False, np.True_], ids=repr)
 def test_model_params_reject_non_finite(bad):
+    # A bool is not read as a number.
     for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
         with pytest.raises(ValueError, match="finite"):
             ModelParams(*args)
 
 
-@pytest.mark.parametrize("dt", [np.nan, np.inf])
+@pytest.mark.parametrize("dt", [np.nan, np.inf, True, np.True_], ids=repr)
 def test_run_rejects_non_finite_dt(dt):
+    # A bool is not read as a step size.
     ops = operators(2)
     with pytest.raises(ValueError, match="finite"):
         run_transient(ops, ModelParams(1.0, 1.0, 1.0), forcing, dt=dt, n_steps=2)
