@@ -428,49 +428,3 @@ def assemble_load(space: DofSpace, fieldfn, t: float | None = None) -> np.ndarra
             "tnq,tq,tqrc->trcn", ttab.val, ttab.w, vals.reshape(nt, nq, 2, 2)
         )
     return space.E.T @ broken.reshape(nt, -1).ravel()
-
-
-def apply_divergence(p_space: DofSpace, vfn) -> np.ndarray:
-    """Velocity-pressure pairing of a smooth vector field against every
-    pressure test function, on the same quadrature as interpolation.
-
-    Sharing the rule with :func:`sdgflow.spaces.interpolate` makes the
-    pairing of ``v - (interpolant of v)`` cancel to roundoff.
-    """
-    _check(p_space, PRESSURE, p_space.mesh, p_space.k)
-    mesh, k = p_space.mesh, p_space.k
-    ttab = tri_tables(mesh, k, SMOOTH_DEGREE)
-    etab = edge_tables(mesh, k, SMOOTH_DEGREE)
-    nt, nq = ttab.w.shape
-    vvol = np.asarray(vfn(ttab.pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2)
-    r = np.einsum("tnqd,tq,tqd->tn", ttab.grad, ttab.w, vvol)
-    e = mesh.dual_edges
-    vedge = np.asarray(vfn(etab.pts[e].reshape(-1, 2)), dtype=float)
-    vn = np.einsum("eqa,ea->eq", vedge.reshape(len(e), -1, 2), mesh.edge_normal[e])
-    wvn = etab.w[e] * vn
-    for s in (0, 1):
-        vec = np.matmul(etab.trace[e, s], wvn[:, :, None])[:, :, 0]
-        np.subtract.at(r, mesh.edge_tri[e, s], mesh.edge_sign[e, s][:, None] * vec)
-    return p_space.E.T @ r.ravel()
-
-
-def apply_divergence_adjoint(u_space: DofSpace, qfn) -> np.ndarray:
-    """Pressure-velocity pairing of a smooth scalar field against every
-    velocity test function; same quadrature as interpolation."""
-    _check(u_space, VELOCITY, u_space.mesh, u_space.k)
-    mesh, k = u_space.mesh, u_space.k
-    ttab = tri_tables(mesh, k, SMOOTH_DEGREE)
-    etab = edge_tables(mesh, k, SMOOTH_DEGREE)
-    nt, nq = ttab.w.shape
-    qvol = np.asarray(qfn(ttab.pts.reshape(-1, 2)), dtype=float).reshape(nt, nq)
-    r = -np.einsum("tnqa,tq,tq->tan", ttab.grad, ttab.w, qvol)
-    edges = mesh.primal_edges
-    qedge = np.asarray(qfn(etab.pts[edges].reshape(-1, 2)), dtype=float)
-    wq = etab.w[edges] * qedge.reshape(len(edges), -1)
-    for s in (0, 1):
-        present = mesh.edge_tri[edges, s] >= 0
-        e = edges[present]
-        vec = np.matmul(etab.trace[e, s], wq[present][:, :, None])[:, :, 0]
-        coef = mesh.edge_sign[e, s][:, None] * mesh.edge_normal[e]
-        np.add.at(r, mesh.edge_tri[e, s], coef[:, :, None] * vec[:, None])
-    return u_space.E.T @ r.reshape(nt, -1).ravel()

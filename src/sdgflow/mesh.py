@@ -198,9 +198,6 @@ class PrimalMesh:
         """Vertex-index cycle of every polygon."""
         return np.split(self.side_from, self.poly_start[1:-1])[: self.n_polygons]
 
-    def polygon_area(self, p: int) -> float:
-        return float(self.areas[p])
-
     def _validate_polygons(self):
         nv, npoly = self.n_vertices, self.n_polygons
         code = np.zeros(npoly, dtype=int)
@@ -257,7 +254,6 @@ class PrimalMesh:
                 f"edge {eid} {tuple(self.edge_vertices[eid].tolist())} traversed twice in "
                 "the same direction; polygons overlap or are inconsistently oriented"
             )
-        self.edge_ids = dict(zip(map(tuple, self.edge_vertices.tolist()), range(len(first))))
         self.boundary_edge = count == 1
 
     def _validate_partition(self):
@@ -492,25 +488,6 @@ class StaggeredMesh:
             - (c[:, 2, 0] - c[:, 0, 0]) * (c[:, 1, 1] - c[:, 0, 1])
         )
 
-    def dual_region(self, primal_edge: int) -> np.ndarray:
-        """Triangle indices forming D(e) for a primal edge e."""
-        return np.flatnonzero(self.tri_pedge == primal_edge)
-
-
-@dataclass(frozen=True, eq=False)
-class MeshQualityReport:
-    """Shape-regularity summary.
-
-    ``star_ratio`` estimates, per polygon, the radius of the largest ball
-    around the interior point fitting inside the polygon, divided by the
-    polygon diameter. ``edge_ratio`` is the minimum primal-edge length of
-    the polygon divided by its diameter.
-    """
-
-    h: float
-    star_ratio: np.ndarray
-    edge_ratio: np.ndarray
-
 
 def build_staggered(primal: PrimalMesh, interior_points=None) -> StaggeredMesh:
     """Construct the simplicial submesh and its full edge table.
@@ -636,28 +613,4 @@ def build_staggered(primal: PrimalMesh, interior_points=None) -> StaggeredMesh:
         edge_tri=edge_tri,
         edge_sign=edge_sign,
         h=h,
-    )
-
-
-def mesh_quality(mesh: StaggeredMesh) -> MeshQualityReport:
-    """Shape-regularity estimates; all ratios are positive for valid meshes."""
-    primal = mesh.primal
-    a, b = primal.vertices[primal.side_from], primal.vertices[primal.side_to]
-    nu = mesh.points[primal.n_vertices + primal.side_poly]
-    d = b - a
-    length = np.hypot(d[:, 0], d[:, 1])
-    # Distance from the interior point to the nearest point of each side.
-    t = np.clip(np.einsum("sd,sd->s", nu - a, d) / (length * length), 0.0, 1.0)
-    gap = nu - (a + t[:, None] * d)
-    dist = np.hypot(gap[:, 0], gap[:, 1])
-    diam = np.empty(primal.n_polygons)
-    for _, rows, corners in _size_groups(primal.poly_start, primal.side_from):
-        xy = primal.vertices[corners]
-        chord = xy[:, :, None] - xy[:, None]
-        diam[rows] = np.hypot(chord[..., 0], chord[..., 1]).max(axis=(1, 2))
-    start = primal.poly_start[:-1]
-    return MeshQualityReport(
-        h=mesh.h,
-        star_ratio=np.minimum.reduceat(dist, start) / diam,
-        edge_ratio=np.minimum.reduceat(length, start) / diam,
     )

@@ -61,8 +61,10 @@ a run from rest with no source factors nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -116,12 +118,23 @@ class SolverError(RuntimeError):
     """A linear solve failed or the drag iteration did not settle."""
 
 
+def _finite_real(name: str, value) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a finite real
+    number and not a bool."""
+    try:
+        ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite real number, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Coefficients of the momentum equation.
 
     epsilon scales the diffusion, alpha the linear drag, beta the
-    quadratic drag. All three are finite numbers, not booleans; alpha
+    quadratic drag. All three are finite real numbers, not booleans; alpha
     must be positive; the time-stepping bounds degrade as alpha
     approaches zero.
     """
@@ -132,9 +145,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("epsilon", "alpha", "beta"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not np.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, not {value!r}")
+            _finite_real(name, getattr(self, name))
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.alpha <= 0:
@@ -569,8 +580,8 @@ def run_transient(
         each ``g`` is assembled once, and a step only combines them.
         None is no source.
     dt, n_steps : float, int
-        Uniform step size, a finite positive number (not a bool), and step
-        count, an integer (not a bool) of at least 1.
+        Uniform step size, a finite positive real number (not a bool),
+        and step count, an integer (not a bool) of at least 1.
     scheme : str
         "be" for first order, "bdf2" for the two-step scheme whose
         opening step falls back to "be" (see _StepHistory.bdf).
@@ -587,7 +598,8 @@ def run_transient(
     order = _ORDERS.get(scheme)
     if order is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if isinstance(dt, (bool, np.bool_)) or not 0.0 < dt < np.inf:
+    _finite_real("dt", dt)
+    if not dt > 0.0:
         raise ValueError(f"need a finite dt > 0, not {dt!r}")
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError(f"n_steps must be an integer >= 1, not {n_steps!r}")

@@ -405,7 +405,7 @@ def evaluate_field(fc: FieldCoefficients, tri: int, points) -> np.ndarray:
     """
     space = fc.space
     if space.kind == TRACE:
-        raise ValueError("use evaluate_trace for the trace space")
+        raise ValueError("evaluate_field does not take trace-space fields")
     mesh = space.mesh
     if not 0 <= tri < mesh.n_triangles:
         raise IndexError(f"triangle index {tri} out of range")
@@ -419,15 +419,3 @@ def evaluate_field(fc: FieldCoefficients, tri: int, points) -> np.ndarray:
     if space.kind == GRADIENT:
         return out.T.reshape(len(pts), 2, 2)
     return out.T
-
-
-def evaluate_trace(fc: FieldCoefficients, edge: int, points) -> np.ndarray:
-    """Evaluate a trace-space field on one dual edge; returns (n, 2)."""
-    space = fc.space
-    if space.kind != TRACE:
-        raise ValueError("evaluate_trace expects a trace-space field")
-    mesh = space.mesh
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals, _ = eval_basis(space.k, mesh.edge_coords(edge), pts)
-    coef = fc.values[space.trace_edge_dofs(edge)]
-    return np.outer(coef @ vals, mesh.edge_canon_tangent[edge])

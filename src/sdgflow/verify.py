@@ -1,4 +1,4 @@
-"""Manufactured-solution verification and diagnostic norms.
+"""Manufactured-solution verification and convergence bookkeeping.
 
 The exact solution is a divergence-free no-slip velocity with a
 sinusoidal time factor and a mean-zero pressure on the unit square. The
@@ -27,10 +27,11 @@ from .solver import (
 from .spaces import (
     PRESSURE,
     FieldCoefficients,
-    edge_tables,
     enhanced_degree,
     tri_tables,
 )
+# Unused here, but the benchmark tracer wraps verify.edge_tables by name.
+from .spaces import edge_tables  # noqa: F401
 
 TWO_PI = 2.0 * np.pi
 # Mean of sin(x)cos(y) over the unit square, subtracted so the exact
@@ -197,60 +198,6 @@ def observed_orders(errors, hs=None) -> np.ndarray:
     return orders
 
 
-def _edge_jumps(space, broken, etab):
-    """Signed jump ``sum_s edge_sign[e, s] * trace_s`` of a broken field on
-    every edge, shape (ne, ncomp, nq). An absent side has sign 0 and a zero
-    trace table, so it adds nothing."""
-    mesh = space.mesh
-    traces = np.einsum("escn,esnq->escq", broken[mesh.edge_tri], etab.trace)
-    return np.einsum("es,escq->ecq", mesh.edge_sign, traces)
-
-
-def z2_norm(fc: FieldCoefficients) -> float:
-    """Broken W^{1,3}-style norm of a velocity field.
-
-    Cubes the broken-gradient L3 norm, adds edge-jump L3 terms weighted
-    by length^-2 (full jumps on primal edges, one-sided on the boundary,
-    tangential jumps on dual edges) and takes the cube root.
-    """
-    space = fc.space
-    mesh, k = space.mesh, space.k
-    deg = enhanced_degree(k)
-    ttab = tri_tables(mesh, k, deg)
-    etab = edge_tables(mesh, k, deg)
-    broken = space.broken(fc.values)
-    gvals = np.einsum("tcn,tnqd->tcdq", broken, ttab.grad)
-    total = float(np.einsum("tq,tq->", np.sum(gvals**2, axis=(1, 2)) ** 1.5, ttab.w))
-    jump = _edge_jumps(space, broken, etab)
-    w = etab.w / mesh.edge_length[:, None] ** 2
-    pe, de = mesh.primal_edges, mesh.dual_edges
-    total += float(np.einsum("eq,eq->", np.hypot(jump[pe, 0], jump[pe, 1]) ** 3, w[pe]))
-    tangential = np.einsum("ec,ecq->eq", mesh.edge_tangent[de], jump[de])
-    total += float(np.einsum("eq,eq->", np.abs(tangential) ** 3, w[de]))
-    return total ** (1.0 / 3.0)
-
-
-def pressure_seminorm(fc: FieldCoefficients) -> float:
-    """Broken W^{1,3/2}-style seminorm of a pressure field.
-
-    Integrates |grad q|^{3/2} per triangle plus length^{-1/2}-weighted
-    dual-edge jump terms, raised to the power 2/3. Constants map to 0.
-    """
-    space = fc.space
-    mesh, k = space.mesh, space.k
-    deg = enhanced_degree(k)
-    ttab = tri_tables(mesh, k, deg)
-    etab = edge_tables(mesh, k, deg)
-    broken = space.broken(fc.values)
-    gvals = np.einsum("tcn,tnqd->tdq", broken, ttab.grad)
-    total = float(np.einsum("tq,tq->", np.hypot(gvals[:, 0], gvals[:, 1]) ** 1.5, ttab.w))
-    de = mesh.dual_edges
-    jump = _edge_jumps(space, broken, etab)[de, 0]
-    w = etab.w[de] / np.sqrt(mesh.edge_length[de])[:, None]
-    total += float(np.einsum("eq,eq->", np.abs(jump) ** 1.5, w))
-    return total ** (2.0 / 3.0)
-
-
 @dataclass(frozen=True, kw_only=True)
 class StudyRow:
     """One run of a study: its parameters and scheme, its errors at the
@@ -331,22 +278,3 @@ def run_manufactured(
         err_p=error_l2(res.p, prob.pressure, final_time),
     )
     return row, res
-
-
-def convergence_study(
-    mesh_sizes,
-    n_steps_list,
-    params: ModelParams,
-    scheme: str = BACKWARD_EULER,
-    k: int = 1,
-    final_time: float = 0.1,
-) -> list[StudyRow]:
-    """Run the manufactured problem over a refinement schedule."""
-    if len(mesh_sizes) != len(n_steps_list):
-        raise ValueError("mesh sizes and step counts must pair up")
-    return with_orders(
-        [
-            run_manufactured(n, steps, params, scheme, k, final_time)[0]
-            for n, steps in zip(mesh_sizes, n_steps_list)
-        ]
-    )

@@ -20,7 +20,6 @@ from sdgflow.mesh import (
     PRIMAL_INTERIOR,
     MeshError,
     MeshGeometryError,
-    MeshQualityReport,
     MeshTopologyError,
     StaggeredMesh,
 )
@@ -1149,28 +1148,74 @@ def loop_build_staggered(primal: LoopPrimalMesh, interior_points=None) -> Stagge
     )
 
 
-def loop_mesh_quality(mesh: StaggeredMesh) -> MeshQualityReport:
-    """Shape-regularity estimates; all ratios are positive for valid meshes."""
-    primal = mesh.primal
-    star = np.empty(primal.n_polygons)
-    edge = np.empty(primal.n_polygons)
-    for p in range(primal.n_polygons):
-        coords = primal.polygon_coords(p)
-        nu = mesh.points[primal.n_vertices + p]
-        diam = max(
-            np.linalg.norm(coords[i] - coords[j])
-            for i in range(len(coords))
-            for j in range(i + 1, len(coords))
-        )
-        dists, lengths = [], []
-        m = len(coords)
-        for i in range(m):
-            a, b = coords[i], coords[(i + 1) % m]
-            d = b - a
-            L = np.linalg.norm(d)
-            t = np.clip((nu - a) @ d / (L * L), 0.0, 1.0)
-            dists.append(np.linalg.norm(nu - (a + t * d)))
-            lengths.append(L)
-        star[p] = min(dists) / diam
-        edge[p] = min(lengths) / diam
-    return MeshQualityReport(h=mesh.h, star_ratio=star, edge_ratio=edge)
+
+# ----- pairings with smooth fields and point values of traces ---------------
+#
+# Library quantities the solver never needs, kept as checks: the pairings
+# of a smooth field with the divergence test functions (acceptance
+# criterion 5's commuting checks) and the point values of a trace field.
+
+
+def apply_divergence(p_space, vfn) -> np.ndarray:
+    """Velocity-pressure pairing of a smooth vector field against every
+    pressure test function, on the same quadrature as interpolation.
+
+    Sharing the rule with :func:`sdgflow.spaces.interpolate` makes the
+    pairing of ``v - (interpolant of v)`` cancel to roundoff.
+    """
+    from sdgflow.spaces import PRESSURE, SMOOTH_DEGREE, edge_tables, tri_tables
+
+    assert p_space.kind == PRESSURE
+    mesh, k = p_space.mesh, p_space.k
+    ttab = tri_tables(mesh, k, SMOOTH_DEGREE)
+    etab = edge_tables(mesh, k, SMOOTH_DEGREE)
+    nt, nq = ttab.w.shape
+    vvol = np.asarray(vfn(ttab.pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2)
+    r = np.einsum("tnqd,tq,tqd->tn", ttab.grad, ttab.w, vvol)
+    e = mesh.dual_edges
+    vedge = np.asarray(vfn(etab.pts[e].reshape(-1, 2)), dtype=float)
+    vn = np.einsum("eqa,ea->eq", vedge.reshape(len(e), -1, 2), mesh.edge_normal[e])
+    wvn = etab.w[e] * vn
+    for s in (0, 1):
+        vec = np.matmul(etab.trace[e, s], wvn[:, :, None])[:, :, 0]
+        np.subtract.at(r, mesh.edge_tri[e, s], mesh.edge_sign[e, s][:, None] * vec)
+    return p_space.E.T @ r.ravel()
+
+
+def apply_divergence_adjoint(u_space, qfn) -> np.ndarray:
+    """Pressure-velocity pairing of a smooth scalar field against every
+    velocity test function; same quadrature as interpolation."""
+    from sdgflow.spaces import SMOOTH_DEGREE, VELOCITY, edge_tables, tri_tables
+
+    assert u_space.kind == VELOCITY
+    mesh, k = u_space.mesh, u_space.k
+    ttab = tri_tables(mesh, k, SMOOTH_DEGREE)
+    etab = edge_tables(mesh, k, SMOOTH_DEGREE)
+    nt, nq = ttab.w.shape
+    qvol = np.asarray(qfn(ttab.pts.reshape(-1, 2)), dtype=float).reshape(nt, nq)
+    r = -np.einsum("tnqa,tq,tq->tan", ttab.grad, ttab.w, qvol)
+    edges = mesh.primal_edges
+    qedge = np.asarray(qfn(etab.pts[edges].reshape(-1, 2)), dtype=float)
+    wq = etab.w[edges] * qedge.reshape(len(edges), -1)
+    for s in (0, 1):
+        present = mesh.edge_tri[edges, s] >= 0
+        e = edges[present]
+        vec = np.matmul(etab.trace[e, s], wq[present][:, :, None])[:, :, 0]
+        coef = mesh.edge_sign[e, s][:, None] * mesh.edge_normal[e]
+        np.add.at(r, mesh.edge_tri[e, s], coef[:, :, None] * vec[:, None])
+    return u_space.E.T @ r.reshape(nt, -1).ravel()
+
+
+def evaluate_trace(fc, edge: int, points) -> np.ndarray:
+    """Evaluate a trace-space field on one dual edge; returns (n, 2)."""
+    from sdgflow.polybasis import eval_basis
+    from sdgflow.spaces import TRACE
+
+    space = fc.space
+    if space.kind != TRACE:
+        raise ValueError("evaluate_trace expects a trace-space field")
+    mesh = space.mesh
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    vals, _ = eval_basis(space.k, mesh.edge_coords(edge), pts)
+    coef = fc.values[space.trace_edge_dofs(edge)]
+    return np.outer(coef @ vals, mesh.edge_canon_tangent[edge])

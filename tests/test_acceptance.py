@@ -13,9 +13,8 @@ import time
 import numpy as np
 import pytest
 
+from _oracles import apply_divergence, apply_divergence_adjoint
 from sdgflow.forms import (
-    apply_divergence,
-    apply_divergence_adjoint,
     assemble_divergence,
     assemble_divergence_adjoint,
     assemble_mass,

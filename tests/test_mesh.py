@@ -25,7 +25,6 @@ from sdgflow.mesh import (
     PrimalMesh,
     build_rectangle_mesh,
     build_staggered,
-    mesh_quality,
     read_polygon_mesh,
 )
 
@@ -89,7 +88,7 @@ def test_read_single_square():
     mesh = read_polygon_mesh(io.StringIO(SQUARE_FILE))
     assert mesh.n_vertices == 4
     assert mesh.n_polygons == 1
-    assert mesh.polygon_area(0) == pytest.approx(1.0)
+    assert mesh.areas[0] == pytest.approx(1.0)
 
 
 def test_read_two_triangles_share_edge():
@@ -228,7 +227,7 @@ def test_staggered_partition_of_domain():
     for p in range(mesh.primal.n_polygons)[:4]:
         tris = np.flatnonzero(mesh.tri_poly == p)
         assert mesh.tri_areas()[tris].sum() == pytest.approx(
-            mesh.primal.polygon_area(p), rel=1e-12
+            mesh.primal.areas[p], rel=1e-12
         )
 
 
@@ -295,7 +294,7 @@ def test_dual_regions_partition_triangles():
     mesh = build_staggered(build_rectangle_mesh(2, 2))
     seen = np.zeros(mesh.n_triangles, dtype=int)
     for e in mesh.primal_edges:
-        region = mesh.dual_region(e)
+        region = np.flatnonzero(mesh.tri_pedge == e)
         expected = 1 if mesh.edge_class[e] == PRIMAL_BOUNDARY else 2
         assert len(region) == expected
         seen[region] += 1
@@ -316,28 +315,18 @@ def test_hanging_node_split_edge():
     assert mesh.tri_areas().sum() == pytest.approx(2.0, rel=1e-12)
     # The split edge is represented as two interior primal edges.
     for pair in [(1, 4), (4, 6)]:
-        eid = primal.edge_ids[pair]
+        (eid,) = np.flatnonzero((primal.edge_vertices == pair).all(axis=1))
         assert not primal.boundary_edge[eid]
 
 
 def test_quality_2x2():
     mesh = build_staggered(build_rectangle_mesh(2, 2))
-    report = mesh_quality(mesh)
     # h is the longest triangle side: the 0.5-long primal edge. The dual
     # edges (centroid to corner) have length sqrt(2)/4.
-    assert report.h == pytest.approx(0.5)
+    assert mesh.h == pytest.approx(0.5)
     np.testing.assert_allclose(
         mesh.edge_length[mesh.dual_edges], math.sqrt(2) / 4, rtol=1e-12
     )
-    assert (report.star_ratio > 0).all()
-    assert (report.edge_ratio > 0).all()
-
-
-def test_quality_square_ratios():
-    mesh = build_staggered(build_rectangle_mesh(1, 1))
-    report = mesh_quality(mesh)
-    assert report.edge_ratio[0] == pytest.approx(1 / math.sqrt(2))
-    assert report.star_ratio[0] == pytest.approx(0.5 / math.sqrt(2))
 
 
 def test_refinement_halves_h():
@@ -439,14 +428,9 @@ def test_array_construction_matches_loop_reference(name):
         assert np.array_equal(got, exp), f.name
     np.testing.assert_array_equal(primal.edge_vertices, want_primal.edge_vertices)
     np.testing.assert_array_equal(primal.boundary_edge, want_primal.boundary_edge)
-    assert primal.edge_ids == want_primal.edge_ids
     assert len(primal.polygons) == len(want_primal.polygons)
     for got, exp in zip(primal.polygons, want_primal.polygons):
         np.testing.assert_array_equal(got, exp)
-    quality, want_quality = mesh_quality(mesh), ref.loop_mesh_quality(want)
-    assert quality.h == want_quality.h
-    np.testing.assert_allclose(quality.star_ratio, want_quality.star_ratio, rtol=1e-13)
-    np.testing.assert_allclose(quality.edge_ratio, want_quality.edge_ratio, rtol=1e-13)
 
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]

@@ -322,20 +322,42 @@ def test_nan_residual_raises(monkeypatch, beta):
     assert counts == {"factor": 0, "solve": 0}
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, True, False, np.True_], ids=repr)
+# An integer too large for a float is not finite either.
+TOO_LARGE = pytest.param(10**400, id="10**400")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.nan, np.inf, True, False, np.True_, "1", None, 1 + 0j, [1.0], TOO_LARGE],
+    ids=repr,
+)
 def test_model_params_reject_non_finite(bad):
-    # A bool is not read as a number.
-    for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
-        with pytest.raises(ValueError, match="finite"):
+    # A bool is not read as a number, and a value that is not a real
+    # number fails with the field's name rather than inside NumPy.
+    for i, name in enumerate(("epsilon", "alpha", "beta")):
+        args = [1.0, 1.0, 1.0]
+        args[i] = bad
+        with pytest.raises(ValueError, match=f"{name} must be a finite real number"):
             ModelParams(*args)
 
 
-@pytest.mark.parametrize("dt", [np.nan, np.inf, True, np.True_], ids=repr)
+@pytest.mark.parametrize(
+    "dt", [np.nan, np.inf, True, np.True_, "0.1", None, 0.1 + 0j, TOO_LARGE], ids=repr
+)
 def test_run_rejects_non_finite_dt(dt):
     # A bool is not read as a step size.
     ops = operators(2)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="dt must be a finite real number"):
         run_transient(ops, ModelParams(1.0, 1.0, 1.0), forcing, dt=dt, n_steps=2)
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.int64])
+def test_numpy_scalars_accepted(kind):
+    params = ModelParams(kind(1), kind(1), kind(1))
+    assert (params.epsilon, params.alpha, params.beta) == (1, 1, 1)
+    res = run_transient(operators(2), params, forcing, dt=kind(1), n_steps=1)
+    assert np.isfinite(res.u.values).all()
+
 
 @pytest.fixture(scope="module")
 def perturbed_ops():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import random_triangle
+from _oracles import evaluate_trace, random_triangle
 from sdgflow import spaces
 from sdgflow.mesh import PrimalMesh, build_rectangle_mesh, build_staggered
 from sdgflow.spaces import (
@@ -14,7 +14,6 @@ from sdgflow.spaces import (
     FieldCoefficients,
     build_space,
     evaluate_field,
-    evaluate_trace,
     interpolate,
 )
 

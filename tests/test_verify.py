@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from sdgflow import cli
 from sdgflow.mesh import build_rectangle_mesh, build_staggered
 from sdgflow.solver import BDF2, ModelParams, run_transient
 from sdgflow.spaces import (
@@ -18,13 +17,11 @@ from sdgflow.spaces import (
 from sdgflow.verify import (
     ManufacturedProblem,
     ZeroProblem,
-    convergence_study,
     default_steps,
     error_l2,
     observed_orders,
-    pressure_seminorm,
     run_manufactured,
-    z2_norm,
+    with_orders,
 )
 
 PARAMS = ModelParams(epsilon=1.0, alpha=1.0, beta=1.0)
@@ -215,46 +212,6 @@ def test_observed_orders_general_ratio():
     assert orders[1] == pytest.approx(2.0, rel=1e-12)
 
 
-# ----- diagnostic norms ------------------------------------------------------
-
-
-def test_z2_norm_shear_field_value():
-    # u = (y, 0): unit broken gradient everywhere, no interior jumps, and
-    # the one-sided boundary terms integrate to n^2 (top) plus n^2/4 on
-    # each vertical side, so the cubed norm is 1 + 1.5 n^2.
-    for n in (2, 3):
-        u = build_space(staggered(n), VELOCITY, 1)
-        fc = interpolate(u, lambda pts: np.column_stack([pts[:, 1], 0.0 * pts[:, 0]]))
-        assert z2_norm(fc) == pytest.approx((1.0 + 1.5 * n * n) ** (1 / 3), rel=1e-10)
-
-
-def test_z2_norm_homogeneity_and_zero():
-    u = build_space(staggered(2), VELOCITY, 1)
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal(u.global_dim)
-    base = z2_norm(FieldCoefficients(u, a))
-    assert base > 0.0
-    scaled = z2_norm(FieldCoefficients(u, -2.5 * a))
-    assert scaled == pytest.approx(2.5 * base, rel=1e-12)
-    assert z2_norm(FieldCoefficients(u, np.zeros(u.global_dim))) == 0.0
-
-
-def test_pressure_seminorm_values():
-    mesh = staggered(3)
-    p = build_space(mesh, PRESSURE, 1)
-    const = interpolate(p, lambda pts: np.full(len(pts), 7.0))
-    assert pressure_seminorm(const) < 1e-12
-    # q = x is continuous with unit gradient: seminorm 1.
-    linear = interpolate(p, lambda pts: pts[:, 0])
-    assert pressure_seminorm(linear) == pytest.approx(1.0, rel=1e-10)
-    rng = np.random.default_rng(14)
-    a = rng.standard_normal(p.global_dim)
-    base = pressure_seminorm(FieldCoefficients(p, a))
-    assert base > 0.0
-    scaled = pressure_seminorm(FieldCoefficients(p, -3.0 * a))
-    assert scaled == pytest.approx(3.0 * base, rel=1e-12)
-
-
 # ----- study drivers ---------------------------------------------------------
 
 
@@ -281,7 +238,7 @@ def test_zero_problem_is_exactly_zero():
 
 
 def test_convergence_study_refines():
-    rows = convergence_study([2, 4], [4, 16], PARAMS)
+    rows = with_orders([run_manufactured(n, n * n, PARAMS)[0] for n in (2, 4)])
     assert rows[0].err_u > rows[1].err_u
     assert rows[0].err_L > rows[1].err_L
     assert rows[0].err_p > rows[1].err_p
@@ -289,22 +246,6 @@ def test_convergence_study_refines():
     assert 1.5 < order < 2.5
 
 
-def test_convergence_study_matches_cli_rows():
-    # The library study and the CLI report equal rows, parameters, scheme
-    # and orders included.
-    cfg = cli.parse_config(
-        "mode = convergence\nmesh = [2, 4]\ntimesteps = [4, 16]\nbeta = 10\n"
-    )
-    rows, _ = cli.run_config(cfg)
-    assert rows == convergence_study([2, 4], [4, 16], ModelParams(1.0, 1.0, 10.0))
-    assert rows[0].ord_u is None and 1.5 < rows[1].ord_u < 2.5
-
-
 def test_convergence_study_bdf2_refines():
-    rows = convergence_study([2, 4], [2, 4], PARAMS, scheme=BDF2)
+    rows = with_orders([run_manufactured(n, n, PARAMS, scheme=BDF2)[0] for n in (2, 4)])
     assert rows[0].err_u > rows[1].err_u
-
-
-def test_convergence_study_validates_lengths():
-    with pytest.raises(ValueError):
-        convergence_study([2, 4], [4], PARAMS)
